@@ -3,11 +3,13 @@
 Subcommands: ``run`` (one experiment), ``sweep`` (one parameter, several
 values), ``gen`` (synthetic corpus), ``split`` (persist a train/test split),
 ``cluster`` (persist a clustering dump). Exit codes: 0 success, 1 usage
-error, 2 data error. A ``key=value`` config file can seed any run/sweep
-flag; explicit flags override it.
+error, 2 data or I/O error. An unusable ``--output`` is reported before any
+work starts. A ``key=value`` config file can seed any run/sweep flag;
+explicit flags override it.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -166,8 +168,35 @@ def _print_summary(result):
         print(f"wrote {path}")
 
 
+def _check_output(path, directory: bool) -> None:
+    """Raise OSError unless ``path`` can receive a command's output.
+
+    A ``directory`` output may not exist yet and is created later; its
+    nearest existing ancestor must then be a writable directory. A file
+    output must not be a directory and needs an existing, writable parent.
+    """
+    path = Path(path)
+    if directory:
+        if path.exists() and not path.is_dir():
+            raise NotADirectoryError(f"--output {path}: exists and is not a directory")
+        parent = next(p for p in (path, *path.parents) if p.exists())
+    else:
+        if path.is_dir():
+            raise IsADirectoryError(f"--output {path}: is a directory")
+        parent = path.parent
+        if not parent.exists():
+            raise FileNotFoundError(f"--output {path}: directory {parent} does not exist")
+    if not parent.is_dir():
+        raise NotADirectoryError(f"--output {path}: {parent} is not a directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise PermissionError(f"--output {path}: {parent} is not writable")
+
+
 def _cmd_run(args) -> int:
-    result = run_experiment(_build_config(args))
+    cfg = _build_config(args)
+    if cfg.output is not None:
+        _check_output(cfg.output, directory=True)
+    result = run_experiment(cfg)
     _print_summary(result)
     return 0
 
@@ -176,6 +205,8 @@ def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
     if args.param not in SWEEPABLE:
         raise ValueError(f"--param must be one of {SWEEPABLE}")
+    if cfg.output is not None:
+        _check_output(cfg.output, directory=True)
     cast = int if args.param in ("iterations", "avg_cluster_size", "degree_threshold") else float
     try:
         values = [cast(tok) for tok in args.values.split(",") if tok.strip()]
@@ -215,6 +246,7 @@ def _pipeline_front(args):
 
 
 def _cmd_split(args) -> int:
+    _check_output(args.output, directory=True)
     filtered, split = _pipeline_front(args)
     directory = Path(args.output)
     directory.mkdir(parents=True, exist_ok=True)
@@ -227,6 +259,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    _check_output(args.output, directory=False)
     _, split = _pipeline_front(args)
     profiles = build_profiles(split.train)
     k = choose_k(split.train.n_users, args.avg_cluster_size)
@@ -294,6 +327,9 @@ def main(argv=None) -> int:
         return 1
     except DataError as exc:
         print(f"tagrec: data error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"tagrec: error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,21 +2,33 @@
 
 A k-means-style procedure over the binary user profiles, run for a small
 fixed number of batch rounds (no convergence check, two rounds by default):
-compute all cluster centroids from the current assignment, then reassign
-every user to the most similar centroid. Users end up partitioned into
-non-overlapping clusters; each cluster's item pool is the union of its
-members' item sets, so item pools may overlap across clusters.
+count every cluster's items and tags from the current assignment, then
+reassign every user to the cluster whose centroid is most similar. Users end
+up partitioned into non-overlapping clusters; each cluster's item pool is the
+union of its members' item sets, so item pools may overlap across clusters.
 
-Centroid squared norms are cached at construction, so one user-to-centroid
-similarity costs O(profile size) lookups.
+The rounds work on exact integer counts. A cluster is kept as its
+per-index member counts c and their sum of squares; its centroid is c/n, so
+the cosine of a binary profile u with it is d / sqrt(|u| * sum(c^2)), where
+d is the sum of c over u's indices. One pass over the posting lists of u's
+items and tags, relabelled with each holder's cluster, gives d for every
+cluster at once; after a round only the users that moved update the d of
+the users they share an index with. Integer sums are exact on every Python
+version, and no float centroid is built per round. Clusters whose cosines tie, exactly or
+within 1e-9, are compared with ``user_centroid_similarity`` on float
+centroids, which defines the assignment, so the result is the one float
+centroids give, bit for bit. Float ``Centroid`` objects are otherwise built
+only for the final partition, for output and inspection.
 """
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
-from .profiles import UserProfile
+from .profiles import UserProfile, posting_lists
 
 __all__ = [
     "Centroid",
@@ -86,20 +98,20 @@ def init_assignment(users, k: int, seed: int) -> dict[int, int]:
     return {u: i % k for i, u in enumerate(order)}
 
 
+def _member_counts(members, profiles) -> tuple[Counter, Counter]:
+    """How many of ``members`` hold each item, and each tag."""
+    item_counts = Counter(chain.from_iterable(profiles[u].items_sorted for u in members))
+    tag_counts = Counter(chain.from_iterable(profiles[u].tags_sorted for u in members))
+    return item_counts, tag_counts
+
+
 def compute_centroid(cluster, profiles) -> Centroid | None:
     """Sparse mean of the members' binary vectors; None for an empty cluster."""
     members = list(cluster)
     if not members:
         return None
     n = len(members)
-    item_counts: dict[int, int] = {}
-    tag_counts: dict[int, int] = {}
-    for u in members:
-        prof = profiles[u]
-        for i in prof.item_set:
-            item_counts[i] = item_counts.get(i, 0) + 1
-        for t in prof.tag_set:
-            tag_counts[t] = tag_counts.get(t, 0) + 1
+    item_counts, tag_counts = _member_counts(members, profiles)
     item_part = {i: item_counts[i] / n for i in sorted(item_counts)}
     tag_part = {t: tag_counts[t] / n for t in sorted(tag_counts)}
     return Centroid(item_part, tag_part)
@@ -173,45 +185,100 @@ def _group(assignment, k):
     return clusters
 
 
+def _cluster_dots(assignment, post, profile_indices) -> list[Counter]:
+    """Per user, its dot product with every cluster's count vector.
+
+    Each holder list of ``post`` is relabelled with the holders' clusters;
+    counting the labels over a user's indices gives, for each cluster j, the
+    sum of j's counts over those indices.
+    """
+    label = assignment.__getitem__
+    labels = {key: list(map(label, holders)) for key, holders in post.items()}
+    return [Counter(chain.from_iterable(map(labels.__getitem__, indices))) for indices in profile_indices]
+
+
+def _move_dots(dots: list[Counter], post, indices, old: int, new: int) -> None:
+    """Update ``dots`` for one user, holding ``indices``, moving from cluster ``old`` to ``new``."""
+    for w, shared in Counter(chain.from_iterable(map(post.__getitem__, indices))).items():
+        row = dots[w]
+        row[old] -= shared
+        row[new] = row.get(new, 0) + shared
+
+
+# Exact cosines that are equal, or nearly so, can come out in either order
+# from the float arithmetic of ``user_centroid_similarity``, which defines
+# the assignment. Clusters within this distance of the best are compared
+# with that function; float error there is many orders of magnitude smaller.
+_NEAR_TIE = 1e-9
+
+
 def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed: int) -> Clustering:
     """Run the fixed-round clustering pass over all training users.
 
-    Each round recomputes every centroid from the current assignment, then
-    reassigns each user to the centroid with the highest similarity (ties go
-    to the lowest cluster index). There is no convergence check; the point is
-    a cheap coarse partition, not a converged one. Empty clusters persist
-    with absent centroids and are never re-seeded.
+    Each round counts every cluster's items and tags from the current
+    assignment, then reassigns each user to the cluster with the highest
+    user-centroid similarity (ties go to the lowest cluster index). There is
+    no convergence check; the point is a cheap coarse partition, not a
+    converged one. Empty clusters persist, never attract a user and are
+    never re-seeded.
+
+    The user-cluster dot products are counted once from the initial
+    assignment; after each round only the users that moved update them.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must be in [0, 1]")
     n = train.n_users
     amap = init_assignment(range(n), k, seed)
     assignment = [amap[u] for u in range(n)]
+    items_of = [profiles[u].items_sorted for u in range(n)]
+    tags_of = [profiles[u].tags_sorted for u in range(n)]
+    item_post, tag_post = posting_lists(range(n), profiles)
+    item_dots = _cluster_dots(assignment, item_post, items_of)
+    tag_dots = _cluster_dots(assignment, tag_post, tags_of)
+    profile_sizes = sum(map(len, items_of)) + sum(map(len, tags_of))
     ops = 0
 
-    for _ in range(iterations):
+    for round_ in range(iterations):
+        live = []  # (cluster index, sum of squared item counts, of squared tag counts)
         clusters = _group(assignment, k)
-        centroids = []
-        for members in clusters:
-            for u in members:
-                prof = profiles[u]
-                ops += len(prof.item_set) + len(prof.tag_set)
-            centroids.append(compute_centroid(members, profiles))
+        for j, members in enumerate(clusters):
+            if members:
+                item_counts, tag_counts = _member_counts(members, profiles)
+                live.append((j, sum(c * c for c in item_counts.values()),
+                             sum(c * c for c in tag_counts.values())))
+        # counting touches every profile once; each user is then compared
+        # coordinate by coordinate with every non-empty cluster
+        ops += profile_sizes * (1 + len(live))
+        float_centroids = {}  # built only to settle near ties
         new_assignment = []
         for u in range(n):
-            prof = profiles[u]
-            cost = len(prof.item_set) + len(prof.tag_set)
-            best_j, best_sim = 0, -math.inf
-            for j in range(k):
-                cent = centroids[j]
-                if cent is not None:
-                    ops += cost
-                sim = user_centroid_similarity(prof, cent, gamma)
-                if sim > best_sim:
-                    best_j, best_sim = j, sim
-            new_assignment.append(best_j)
+            n_items, n_tags = len(items_of[u]), len(tags_of[u])
+            u_item_dots, u_tag_dots = item_dots[u], tag_dots[u]
+            sims = []
+            for j, item_sq, tag_sq in live:
+                denom_sq = n_items * item_sq
+                cos_items = u_item_dots.get(j, 0) / math.sqrt(denom_sq) if denom_sq else 0.0
+                denom_sq = n_tags * tag_sq
+                cos_tags = u_tag_dots.get(j, 0) / math.sqrt(denom_sq) if denom_sq else 0.0
+                sims.append(gamma * cos_items + (1.0 - gamma) * cos_tags)
+            best = max(sims)
+            near = [x for x, sim in enumerate(sims) if sim >= best - _NEAR_TIE]
+            if len(near) > 1:
+                for x in near:
+                    if x not in float_centroids:
+                        float_centroids[x] = compute_centroid(clusters[live[x][0]], profiles)
+                ref = [user_centroid_similarity(profiles[u], float_centroids[x], gamma) for x in near]
+                near = [near[ref.index(max(ref))]]
+            new_assignment.append(live[near[0]][0])
+        if round_ + 1 < iterations:
+            for v, (old, new) in enumerate(zip(assignment, new_assignment)):
+                if old != new:
+                    _move_dots(item_dots, item_post, items_of[v], old, new)
+                    _move_dots(tag_dots, tag_post, tags_of[v], old, new)
         assignment = new_assignment
 
     clusters = _group(assignment, k)

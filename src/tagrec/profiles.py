@@ -8,12 +8,14 @@ self-similarity is exactly 1.0.
 """
 
 import math
+from collections import defaultdict
 from collections.abc import Mapping, Set
 
 __all__ = [
     "UserProfile",
     "FeatureWeights",
     "build_profiles",
+    "posting_lists",
     "cosine",
     "user_similarity",
     "multi_feature_similarity",
@@ -48,6 +50,22 @@ def build_profiles(train) -> dict[int, UserProfile]:
         u: UserProfile(train.user_items[u], train.user_tags[u])
         for u in range(train.n_users)
     }
+
+
+def posting_lists(users, profiles) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Inverted index of ``users``: item -> holders and tag -> holders.
+
+    Each holder list follows the order of ``users``.
+    """
+    item_post = defaultdict(list)
+    tag_post = defaultdict(list)
+    for u in users:
+        prof = profiles[u]
+        for r in prof.items_sorted:
+            item_post[r].append(u)
+        for t in prof.tags_sorted:
+            tag_post[t].append(u)
+    return item_post, tag_post
 
 
 def _set_cosine(a, b) -> float:

@@ -1,28 +1,39 @@
 """Top-k item ranking by user-based collaborative filtering.
 
 An item's score for a target user is the summed similarity of every
-neighbor who has that item; items the target already trained on are
-excluded from the candidates (their score would be the -1 sentinel, which
-can never reach a top-k slot, so skipping them is both equivalent and
-cheaper). Two candidate/neighbor pools are offered:
+neighbor who has that item; items the target already trained on get the
+-1 sentinel of ``score``, so they never reach a top-k slot. One kernel ranks
+a group of users against an item pool:
 
-* ``rank_ucf``: neighbors are all users, candidates all items (the exact
-  baseline, evaluated straightforwardly);
-* ``rank_fcum``: per cluster, neighbors are the cluster's members and
-  candidates its item pool.
+* ``rank_ucf`` is the kernel over the single group (all users, all items),
+  the exact baseline;
+* ``rank_fcum`` is the kernel over one group per cluster: its members, and
+  its item pool as candidates.
 
-Both accumulate neighbor contributions in ascending user-index order, so a
-single-cluster clustering reproduces the baseline bit for bit. Entries are
-ordered by descending score, ties by ascending item index; the list at a
-smaller k is always a prefix of the list at a larger k.
+Per group the kernel builds item and tag posting lists over the members, as
+in the all-pairs search of Bayardo, Ma & Srikant (WWW 2007). Counting the
+postings of a target's items and tags gives |I_u & I_v| and |T_u & T_v| for
+every neighbor sharing at least one of them, so pairs of zero similarity are
+never visited. The similarity is the expression of
+``profiles.user_similarity``, and each item's score adds neighbor terms in
+ascending user index, so scores equal direct evaluation (``score``) bit for
+bit and a single-cluster clustering reproduces the baseline exactly. Entries
+are ordered by descending score, ties by ascending item index; the list at a
+smaller k is always a prefix of the list at a larger k. Selection drops, in
+one C-level pass, every score below a lower bound on the k-th best before
+the stable ``heapq.nlargest`` orders what is left.
 """
 
 import heapq
+import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
+from operator import eq, le, lt
 from pathlib import Path
 
 from .clustering import Clustering
-from .profiles import user_similarity
+from .profiles import posting_lists, user_similarity
 
 __all__ = ["RankList", "score", "rank_ucf", "rank_fcum", "write_ranklists"]
 
@@ -55,10 +66,65 @@ def score(target: int, item: int, neighbors, profiles, beta: float) -> float:
     return total
 
 
-def _top_k(scores, candidates, k):
-    # (-score, item) ascending == score descending, ties by item index
-    best = heapq.nsmallest(k, ((-scores[r], r) for r in candidates))
-    return tuple((r, -neg) for neg, r in best)
+def _top_positions(scores: list[float], k: int, drop_zero_scores: bool) -> list[int]:
+    """The k best positions of ``scores``, by descending score, ties by position.
+
+    Negative scores are never chosen, zero scores only after every positive
+    one and not at all with ``drop_zero_scores``.
+    """
+    # the k-th best of every 8th score bounds the k-th best from below, so a
+    # C-level pass can drop every position under it before the stable nlargest
+    sample = heapq.nlargest(k, scores[::8])
+    floor = sample[-1] if k > 0 and len(sample) == k else 0.0
+    if floor > 0.0:
+        kept = map(le, repeat(floor), scores)
+    else:
+        kept = map(lt, repeat(0.0), scores)
+    top = heapq.nlargest(k, compress(range(len(scores)), kept), key=scores.__getitem__)
+    if len(top) < k and not drop_zero_scores:
+        zeros = compress(range(len(scores)), map(eq, repeat(0.0), scores))
+        top.extend(islice(zeros, k - len(top)))
+    return top
+
+
+def _rank_groups(groups, profiles, beta: float, k: int, drop_zero_scores: bool) -> dict[int, RankList]:
+    """Rank each group's item pool against each of its members.
+
+    ``groups`` yields (members, pool) pairs; a pool is in ascending item
+    order and holds every item of its members, and the members of different
+    groups are disjoint.
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must be in [0, 1]")
+    out = {}
+    for members, pool in groups:
+        item_post, tag_post = posting_lists(members, profiles)
+        # scores are kept per pool position, which orders like the item index
+        position = {r: x for x, r in enumerate(pool)}.__getitem__
+        held = {v: tuple(map(position, profiles[v].items_sorted)) for v in members}
+        for u in members:
+            prof = profiles[u]
+            shared_items = Counter(chain.from_iterable(map(item_post.__getitem__, prof.items_sorted)))
+            shared_tags = Counter(chain.from_iterable(map(tag_post.__getitem__, prof.tags_sorted)))
+            n_u_items, n_u_tags = len(prof.item_set), len(prof.tag_set)
+            scores = [0.0] * len(pool)
+            for v in sorted(shared_items.keys() | shared_tags.keys()):
+                if v == u:
+                    continue
+                neighbor = profiles[v]
+                a, b = shared_items.get(v, 0), shared_tags.get(v, 0)
+                # the expression of user_similarity, with the intersections counted
+                sim = (beta * (a / math.sqrt(n_u_items * len(neighbor.item_set)) if a else 0.0)
+                       + (1.0 - beta) * (b / math.sqrt(n_u_tags * len(neighbor.tag_set)) if b else 0.0))
+                if sim == 0.0:
+                    continue
+                for x in held[v]:
+                    scores[x] += sim
+            for x in held[u]:
+                scores[x] = -1.0  # the sentinel of score(): trained items are no candidates
+            top = _top_positions(scores, k, drop_zero_scores)
+            out[u] = RankList(u, tuple((pool[x], scores[x]) for x in top))
+    return out
 
 
 def rank_ucf(train, profiles, beta: float, k: int, drop_zero_scores: bool = False) -> dict[int, RankList]:
@@ -67,26 +133,8 @@ def rank_ucf(train, profiles, beta: float, k: int, drop_zero_scores: bool = Fals
     Zero-score items are kept as deterministic tail entries unless
     ``drop_zero_scores`` is set, so ranklists have predictable length.
     """
-    n_users, n_items = train.n_users, train.n_items
-    out = {}
-    for u in range(n_users):
-        target_prof = profiles[u]
-        scores = [0.0] * n_items
-        for v in range(n_users):
-            if v == u:
-                continue
-            sim = user_similarity(target_prof, profiles[v], beta)
-            if sim == 0.0:
-                continue
-            for r in profiles[v].items_sorted:
-                scores[r] += sim
-        trained = target_prof.item_set
-        if drop_zero_scores:
-            candidates = (r for r in range(n_items) if r not in trained and scores[r] > 0.0)
-        else:
-            candidates = (r for r in range(n_items) if r not in trained)
-        out[u] = RankList(u, _top_k(scores, candidates, k))
-    return out
+    group = (range(train.n_users), range(train.n_items))
+    return _rank_groups((group,), profiles, beta, k, drop_zero_scores)
 
 
 def rank_fcum(clustering: Clustering, train, profiles, beta: float, k: int,
@@ -95,31 +143,9 @@ def rank_fcum(clustering: Clustering, train, profiles, beta: float, k: int,
 
     For a user in cluster ``j`` the neighbors are the other members of ``j``
     and the candidates are ``j``'s item pool minus the user's own items.
-    Similarities are computed once per (target, neighbor) pair.
     """
-    out = {}
-    scores = [0.0] * train.n_items  # shared buffer; only pool indices are touched
-    for j, members in enumerate(clustering.user_clusters):
-        pool = clustering.item_clusters[j]
-        for u in members:
-            target_prof = profiles[u]
-            for v in members:
-                if v == u:
-                    continue
-                sim = user_similarity(target_prof, profiles[v], beta)
-                if sim == 0.0:
-                    continue
-                for r in profiles[v].items_sorted:
-                    scores[r] += sim
-            trained = target_prof.item_set
-            if drop_zero_scores:
-                candidates = (r for r in pool if r not in trained and scores[r] > 0.0)
-            else:
-                candidates = (r for r in pool if r not in trained)
-            out[u] = RankList(u, _top_k(scores, candidates, k))
-            for r in pool:
-                scores[r] = 0.0
-    return out
+    groups = zip(clustering.user_clusters, clustering.item_clusters)
+    return _rank_groups(groups, profiles, beta, k, drop_zero_scores)
 
 
 def write_ranklists(ranklists: dict[int, RankList], train, path) -> None:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tagrec import cli
 from tagrec.cli import main
 from tagrec.corpus import build_graph, read_triples
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
@@ -186,3 +187,52 @@ class TestClusterCommand:
         assert all(len(line.split("\t")) == 2 for line in lines)
         labels = {int(line.split("\t")[1]) for line in lines}
         assert labels and max(labels) < 50 // 12 + 1
+
+
+class TestOutputPath:
+    COMMANDS = {
+        "run": ["run", *RUN_FLAGS],
+        "sweep": ["sweep", *RUN_FLAGS, "--param", "iterations", "--values", "1,2"],
+        "split": ["split", "--degree-threshold", "2"],
+        "cluster": ["cluster", "--degree-threshold", "2"],
+    }
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command started work despite an unusable --output")
+
+        for name in ("run_experiment", "sweep", "_pipeline_front"):
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unusable_output_is_io_error_before_any_work(self, command, corpus_path, tmp_path, capsys, no_work):
+        taken = tmp_path / "taken"
+        if command == "cluster":
+            taken.mkdir()  # a directory where the dump file should go
+        else:
+            taken.write_text("keep\n", encoding="utf-8")
+        argv = [*self.COMMANDS[command], "--input", str(corpus_path), "--output", str(taken)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"tagrec: error: --output {taken}: " + (
+            "is a directory" if command == "cluster" else "exists and is not a directory")]
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        if command == "cluster":
+            assert list(taken.iterdir()) == []
+        else:
+            assert taken.read_text(encoding="utf-8") == "keep\n"
+
+    def test_output_below_a_file_is_io_error(self, corpus_path, tmp_path, capsys, no_work):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        argv = ["run", "--input", str(corpus_path), "--output", str(blocker / "reports")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"tagrec: error: --output {blocker / 'reports'}: {blocker} is not a directory\n"
+
+    def test_cluster_dump_needs_existing_directory(self, corpus_path, tmp_path, capsys, no_work):
+        dump = tmp_path / "missing" / "clusters.tsv"
+        assert main(["cluster", "--input", str(corpus_path), "--output", str(dump)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()

@@ -215,6 +215,42 @@ class TestCoarseCluster:
             assert list(mine.assignment) == assignment
             assert mine.item_clusters == tuple(item_clusters)
 
+    def test_matches_dense_oracle_on_many_tiny_instances(self):
+        # tiny item and tag universes make exactly equal user-centroid cosines
+        # common; the float reference decides which cluster such a tie goes to
+        rng = random.Random(2007)
+        for _ in range(400):
+            g = random_graph(rng, max_users=rng.choice((6, 12)), max_items=rng.choice((5, 12, 25)),
+                             max_tags=rng.choice((3, 8)))
+            profiles = build_profiles(g)
+            k = rng.randint(1, 5)
+            iterations = rng.randint(1, 3)
+            gamma = rng.choice((0.0, 0.3, 0.5, 0.8, 1.0))
+            seed = rng.randrange(10_000)
+            mine = coarse_cluster(g, profiles, k, iterations, gamma, seed)
+            assignment, _, item_clusters = naive_coarse_cluster(g, k, iterations, gamma, seed)
+            assert list(mine.assignment) == assignment
+            assert mine.item_clusters == tuple(item_clusters)
+
+    def test_coordinate_ops_follow_per_round_formula(self):
+        # per round: one touch per profile coordinate to build the centroids,
+        # then every user against every non-empty centroid, coordinate by coordinate
+        g = planted_two_community_graph()
+        profiles = build_profiles(g)
+        k, iterations, seed = 4, 3, 5
+        clustering = coarse_cluster(g, profiles, k, iterations, 0.5, seed)
+        cost = [len(profiles[u].item_set) + len(profiles[u].tag_set) for u in range(g.n_users)]
+        init = init_assignment(range(g.n_users), k, seed)
+        assignment = [init[u] for u in range(g.n_users)]
+        expected, nonempty_per_round = 0, []
+        for r in range(1, iterations + 1):
+            nonempty = len(set(assignment))
+            nonempty_per_round.append(nonempty)
+            expected += sum(cost) + sum(c * nonempty for c in cost)
+            assignment = coarse_cluster(g, profiles, k, r, 0.5, seed).assignment
+        assert nonempty_per_round == [4, 2, 2]  # clusters empty out, and stop costing
+        assert clustering.coordinate_ops == expected == 396
+
     def test_ops_counter_scales_linearly_in_iterations(self, tiny_split):
         split, profiles = tiny_split
         ops = {

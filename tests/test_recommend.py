@@ -100,6 +100,31 @@ class TestRankUcf:
                 expected = sorted(by_score.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
                 assert list(ranklist.entries) == expected
 
+    def test_matches_direct_scores_on_large_pools(self):
+        # pools far larger than k, so selection bounds the k-th best score
+        # from a sample before ordering; ties at that bound must survive
+        rng = random.Random(71)
+        for _ in range(6):
+            g = random_graph(rng, max_users=30, max_items=400, max_tags=12, min_triples_per_user=30)
+            profiles = build_profiles(g)
+            out = rank_ucf(g, profiles, 0.5, k=20)
+            neighbors = range(g.n_users)
+            for u, ranklist in out.items():
+                direct = [(r, score(u, r, neighbors, profiles, 0.5)) for r in range(g.n_items)]
+                expected = sorted(((r, s) for r, s in direct if s >= 0.0), key=lambda e: (-e[1], e[0]))[:20]
+                assert list(ranklist.entries) == expected
+
+    def test_many_items_tied_at_the_kth_score_come_in_item_order(self):
+        # 200 neighbours with identical similarity each add one unique item
+        rows = [("u", "shared", "t", 0)]
+        for v in range(200):
+            rows += [(f"v{v:03d}", "shared", "t", 2 * v + 1), (f"v{v:03d}", f"only{v:03d}", "t", 2 * v + 2)]
+        g = make_graph(rows)
+        profiles = build_profiles(g)
+        entries = rank_ucf(g, profiles, 0.5, 20)[g.users.index_of("u")].entries
+        sim = user_similarity(profiles[g.users.index_of("u")], profiles[g.users.index_of("v000")], 0.5)
+        assert entries == tuple((g.items.index_of(f"only{v:03d}"), sim) for v in range(20))
+
     def test_zero_score_items_padded_deterministically_or_dropped(self):
         g = make_graph(
             [
@@ -127,6 +152,33 @@ class TestRankFcum:
             baseline = rank_ucf(g, profiles, 0.5, 8)
             clustered = rank_fcum(clustering, g, profiles, 0.5, 8)
             assert baseline == clustered  # same items, same float scores, same order
+
+    def test_multi_cluster_matches_direct_scores_exactly(self):
+        # independent oracle: score() evaluates each candidate on its own, and
+        # every entry must carry exactly the same float, in (-score, item) order
+        rng = random.Random(61)
+        zero_tails = short_lists = 0
+        for _ in range(40):
+            g = random_graph(rng, max_users=14, max_items=30, max_tags=10)
+            profiles = build_profiles(g)
+            clustering = coarse_cluster(g, profiles, rng.randint(2, 4), 2, 0.5, seed=rng.randrange(1000))
+            beta = rng.choice((0.0, 0.3, 0.5, 1.0))
+            for k in (3, 40):  # 40 exceeds every pool, so whole lists are compared
+                for drop in (False, True):
+                    out = rank_fcum(clustering, g, profiles, beta, k, drop_zero_scores=drop)
+                    assert sorted(out) == list(range(g.n_users))
+                    for members, pool in zip(clustering.user_clusters, clustering.item_clusters):
+                        for u in members:
+                            direct = [(r, score(u, r, members, profiles, beta)) for r in pool]
+                            kept = [(r, s) for r, s in direct if s > 0.0 or (s == 0.0 and not drop)]
+                            expected = sorted(kept, key=lambda e: (-e[1], e[0]))[:k]
+                            assert list(out[u].entries) == expected
+                            positive = sum(1 for _, s in kept if s > 0.0)
+                            if not drop and positive < k < len(kept):
+                                short_lists += 1
+                            if not drop and len(expected) > positive + 1:
+                                zero_tails += 1
+        assert zero_tails and short_lists  # the zero-score tail was exercised
 
     def test_candidates_confined_to_cluster_pool(self):
         rng = random.Random(29)

@@ -30,6 +30,7 @@ from .corpus import (
     build_graph,
     filter_by_degree,
     parse_triples,
+    read_graph,
     read_triples,
     split_summary,
     temporal_split,
@@ -43,8 +44,6 @@ from .evaluate import (
     metrics_at_k,
     precision_at_k,
     recall_at_k,
-    run_timed,
-    timed_median,
 )
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment, sweep
 from .profiles import (

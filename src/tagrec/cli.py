@@ -14,18 +14,8 @@ import sys
 from pathlib import Path
 
 from .clustering import choose_k, coarse_cluster, write_clustering
-from .corpus import (
-    DataError,
-    build_graph,
-    filter_by_degree,
-    read_triples,
-    split_summary,
-    temporal_split,
-    write_summary,
-    write_triples,
-)
-from .experiment import SWEEPABLE, ExperimentConfig, run_experiment, sweep
-from .profiles import build_profiles
+from .corpus import DataError, split_summary, write_summary, write_triples
+from .experiment import SWEEPABLE, ExperimentConfig, prepare_corpus, run_experiment, sweep
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = ["main", "run_main"]
@@ -234,20 +224,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _pipeline_front(args):
-    graph = build_graph(read_triples(args.input))
-    filtered = filter_by_degree(graph, args.degree_threshold, args.degree_mode)
-    if filtered.n_triples == 0:
-        raise DataError(
-            f"degree threshold {args.degree_threshold} removed every triple; try a lower --degree-threshold"
-        )
-    split = temporal_split(filtered, args.split_ratio)
-    return filtered, split
+def _corpus_config(args) -> ExperimentConfig:
+    """The ``ExperimentConfig`` of a ``split`` or ``cluster`` command's flags."""
+    names = ("degree_threshold", "degree_mode", "split_ratio",
+             "gamma", "avg_cluster_size", "iterations", "seed")
+    return ExperimentConfig(input=args.input, **{n: getattr(args, n) for n in names if hasattr(args, n)})
 
 
 def _cmd_split(args) -> int:
     _check_output(args.output, directory=True)
-    filtered, split = _pipeline_front(args)
+    filtered, split, _ = prepare_corpus(_corpus_config(args))
     directory = Path(args.output)
     directory.mkdir(parents=True, exist_ok=True)
     write_triples(split.train.interactions(), directory / "train.tsv")
@@ -260,10 +246,10 @@ def _cmd_split(args) -> int:
 
 def _cmd_cluster(args) -> int:
     _check_output(args.output, directory=False)
-    _, split = _pipeline_front(args)
-    profiles = build_profiles(split.train)
-    k = choose_k(split.train.n_users, args.avg_cluster_size)
-    clustering = coarse_cluster(split.train, profiles, k, args.iterations, args.gamma, args.seed)
+    cfg = _corpus_config(args)
+    _, split, profiles = prepare_corpus(cfg)
+    k = choose_k(split.train.n_users, cfg.avg_cluster_size)
+    clustering = coarse_cluster(split.train, profiles, k, cfg.iterations, cfg.gamma, cfg.seed)
     write_clustering(clustering, split.train, args.output)
     print(f"wrote {args.output} ({k} clusters, {clustering.nonempty_clusters()} non-empty)")
     return 0

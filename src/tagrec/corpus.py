@@ -1,15 +1,22 @@
 """Tripartite interaction corpus: parsing, graph building, filtering, splitting.
 
 Input data is TSV with four columns (user, item, tag, timestamp), one
-interaction per line. External string ids are interned to dense integer
-indices; the graph keeps the deduplicated triple store plus the two
-user-side projections (items per user, tags per user) that the profile
-and clustering stages consume.
+interaction per line. Each line is interned straight into a
+``(user, item, tag, timestamp)`` quad of dense integer indices, assigned in
+first-appearance order; the graph keeps the deduplicated quads plus the two
+user-side projections (items per user, tags per user) that the profile and
+clustering stages consume. Filtering and splitting stay in that integer
+space: they keep a subsequence of the quads and renumber the surviving ids
+compactly, in first-appearance order, which yields the same tables as
+interning the surviving records afresh. ``Interaction`` records with
+external string ids appear only where records are read or written.
 """
 
 import math
-from collections import defaultdict, deque
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, starmap
+from operator import itemgetter, not_
 from pathlib import Path
 
 __all__ = [
@@ -21,6 +28,7 @@ __all__ = [
     "SplitCorpus",
     "parse_triples",
     "read_triples",
+    "read_graph",
     "write_triples",
     "build_graph",
     "filter_by_degree",
@@ -45,21 +53,16 @@ class Interaction:
 
 
 class IdTable:
-    """External string ids interned to dense indices in first-appearance order."""
+    """External string ids and their dense indices: ``ids[i]`` has index ``i``.
+
+    The corpus builds each table from ids listed in first-appearance order.
+    """
 
     __slots__ = ("_ids", "_index")
 
-    def __init__(self):
-        self._ids: list[str] = []
-        self._index: dict[str, int] = {}
-
-    def intern(self, ext: str) -> int:
-        idx = self._index.get(ext)
-        if idx is None:
-            idx = len(self._ids)
-            self._index[ext] = idx
-            self._ids.append(ext)
-        return idx
+    def __init__(self, ids=()):
+        self._ids: list[str] = list(ids)
+        self._index: dict[str, int] = dict(zip(self._ids, range(len(self._ids))))
 
     def index_of(self, ext: str) -> int:
         return self._index[ext]
@@ -138,14 +141,11 @@ class TripartiteGraph:
         )
 
 
-def parse_triples(lines) -> list[Interaction]:
-    """Parse TSV interaction records from an iterable of text lines.
+def _records(lines):
+    """Yield each record of a TSV stream as a (user, item, tag, timestamp) tuple.
 
-    Blank lines and ``#``-prefixed comment lines are skipped. Raises
-    DataError naming the 1-based line number for malformed records
-    (wrong field count, empty ids, bad timestamp).
+    This is the one validation loop of ``parse_triples`` and ``read_graph``.
     """
-    records = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
@@ -162,19 +162,38 @@ def parse_triples(lines) -> list[Interaction]:
             raise DataError(f"line {lineno}: timestamp {ts_text!r} is not an integer") from None
         if ts < 0:
             raise DataError(f"line {lineno}: negative timestamp {ts}")
-        records.append(Interaction(user, item, tag, ts))
-    return records
+        yield user, item, tag, ts
 
 
-def read_triples(path) -> list[Interaction]:
+def parse_triples(lines) -> list[Interaction]:
+    """Parse TSV interaction records from an iterable of text lines.
+
+    Blank lines and ``#``-prefixed comment lines are skipped. Raises
+    DataError naming the 1-based line number for malformed records
+    (wrong field count, empty ids, bad timestamp).
+    """
+    return list(starmap(Interaction, _records(lines)))
+
+
+def _read(path, consume):
+    """``consume`` the UTF-8 text file at ``path``; every failure is a DataError naming the file."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as fh:
-            return parse_triples(fh)
+            return consume(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def read_triples(path) -> list[Interaction]:
+    return _read(path, parse_triples)
+
+
+def read_graph(path) -> TripartiteGraph:
+    """Parse a TSV corpus file straight into a graph; equal to ``build_graph(read_triples(path))``."""
+    return _read(path, lambda fh: _intern(_records(fh)))
 
 
 def write_triples(interactions, path) -> None:
@@ -190,15 +209,21 @@ def build_graph(interactions) -> TripartiteGraph:
     Duplicates are records equal in all four fields; binary profiles carry no
     multiplicity, so one copy suffices.
     """
-    users, items, tags = IdTable(), IdTable(), IdTable()
-    triples = []
-    seen = set()
-    for rec in interactions:
-        quad = (users.intern(rec.user), items.intern(rec.item), tags.intern(rec.tag), rec.timestamp)
-        if quad in seen:
-            continue
-        seen.add(quad)
-        triples.append(quad)
+    return _intern((rec.user, rec.item, rec.tag, rec.timestamp) for rec in interactions)
+
+
+def _intern(records) -> TripartiteGraph:
+    """Graph over (user, item, tag, timestamp) string records, as ``build_graph`` documents."""
+    users, items, tags = {}, {}, {}
+    quads = dict.fromkeys(
+        (users.setdefault(u, len(users)), items.setdefault(r, len(items)), tags.setdefault(t, len(tags)), ts)
+        for u, r, t, ts in records
+    )
+    return _with_projections(IdTable(users), IdTable(items), IdTable(tags), list(quads))
+
+
+def _with_projections(users, items, tags, triples) -> TripartiteGraph:
+    """The graph over the given tables and index quads, with its user projections."""
     user_items = [set() for _ in range(len(users))]
     user_tags = [set() for _ in range(len(users))]
     for u, r, t, _ in triples:
@@ -207,7 +232,25 @@ def build_graph(interactions) -> TripartiteGraph:
     return TripartiteGraph(users, items, tags, triples, user_items, user_tags)
 
 
-_USER, _ITEM, _TAG = 0, 1, 2
+def _remap(graph: TripartiteGraph, quads):
+    """Graph over ``quads``, a subsequence of ``graph.triples``, with ids renumbered compactly.
+
+    New ids follow first appearance in ``quads``, exactly as ``build_graph``
+    would intern the same records. Returns the graph and the old-to-new user
+    and item id maps: lists indexed by old id, ``None`` where an id is gone.
+    """
+    quads = list(quads)
+    tables, maps = [], []
+    for column, old in enumerate((graph.users, graph.items, graph.tags)):
+        kept = list(dict.fromkeys(map(itemgetter(column), quads)))
+        new = [None] * len(old)
+        for idx, old_idx in enumerate(kept):
+            new[old_idx] = idx
+        tables.append(IdTable(map(old.id_of, kept)))
+        maps.append(new)
+    new_u, new_r, new_t = maps
+    triples = [(new_u[u], new_r[r], new_t[t], ts) for u, r, t, ts in quads]
+    return _with_projections(*tables, triples), new_u, new_r
 
 
 def filter_by_degree(graph: TripartiteGraph, threshold: int, degree_mode: str = "triples") -> TripartiteGraph:
@@ -217,84 +260,68 @@ def filter_by_degree(graph: TripartiteGraph, threshold: int, degree_mode: str = 
     default ``degree_mode="triples"``) or the number of distinct surviving
     neighbor nodes (``degree_mode="neighbors"``). Removing a node removes all
     its triples, which may push other nodes under the threshold; pruning
-    repeats until no node is below it. Survivors are re-interned compactly,
-    so the result may be the empty graph.
+    repeats until no node is below it. Survivors are renumbered compactly in
+    first-appearance order, so the result may be the empty graph.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     if degree_mode not in ("triples", "neighbors"):
         raise ValueError(f"unknown degree_mode {degree_mode!r}")
-
-    n_nodes = (graph.n_users, graph.n_items, graph.n_tags)
     if threshold == 0 or graph.n_triples == 0:
-        return build_graph(graph.interactions())
+        return _remap(graph, graph.triples)[0]
 
-    node_triples = tuple([[] for _ in range(n)] for n in n_nodes)
-    for tid, (u, r, t, _) in enumerate(graph.triples):
-        node_triples[_USER][u].append(tid)
-        node_triples[_ITEM][r].append(tid)
-        node_triples[_TAG][t].append(tid)
-
+    # Users, items and tags share one node numbering. A node's degree is the
+    # number of live links that end at it, and a link lives while a live
+    # triple carries it: each triple is its own link to its three nodes, or
+    # in neighbors mode the links are the distinct node pairs.
+    item0 = graph.n_users
+    tag0 = item0 + graph.n_items
+    n_nodes = tag0 + graph.n_tags
+    nodes = [(u, item0 + r, tag0 + t) for u, r, t, _ in graph.triples]
     if degree_mode == "triples":
-        deg = tuple([len(lst) for lst in node_triples[kind]] for kind in (_USER, _ITEM, _TAG))
-        pair_counts = None
+        def links_of(tid):
+            return (tid,)
+
+        ends_of = nodes.__getitem__
+        carriers = [1] * len(nodes)
+        degrees = Counter(chain.from_iterable(nodes))
     else:
-        deg = tuple([0] * n for n in n_nodes)
-        pair_counts = (defaultdict(int), defaultdict(int), defaultdict(int))  # ur, ut, rt
-        for u, r, t, _ in graph.triples:
-            for pc, key, a, b in _triple_pairs(pair_counts, u, r, t):
-                if pc[key] == 0:
-                    deg[a[0]][a[1]] += 1
-                    deg[b[0]][b[1]] += 1
-                pc[key] += 1
+        def links_of(tid):
+            u, r, t = nodes[tid]
+            return (u * n_nodes + r, u * n_nodes + t, r * n_nodes + t)
 
-    removed = tuple([False] * n for n in n_nodes)
-    alive = [True] * graph.n_triples
-    queue = deque(
-        (kind, idx)
-        for kind in (_USER, _ITEM, _TAG)
-        for idx in range(n_nodes[kind])
-        if deg[kind][idx] < threshold
-    )
-    while queue:
-        kind, idx = queue.popleft()
-        if removed[kind][idx]:
-            continue
-        removed[kind][idx] = True
-        for tid in node_triples[kind][idx]:
-            if not alive[tid]:
-                continue
+        def ends_of(key):
+            return divmod(key, n_nodes)
+
+        carriers = Counter(chain.from_iterable(map(links_of, range(len(nodes)))))
+        degrees = Counter(chain.from_iterable(map(ends_of, carriers)))
+    deg = [degrees[x] for x in range(n_nodes)]
+
+    # Each round scans the live triples once and kills those that hold a
+    # removed node; nodes that fall under the threshold meanwhile are removed
+    # and their triples go in the next round. The nodes left form the
+    # largest set in which every degree reaches the threshold.
+    removed = [d < threshold for d in deg]
+    alive = [True] * len(nodes)
+    pending = any(removed)
+    while pending:
+        pending = False
+        dying = [
+            tid for tid, (u, r, t) in enumerate(nodes)
+            if alive[tid] and (removed[u] or removed[r] or removed[t])
+        ]
+        for tid in dying:
             alive[tid] = False
-            u, r, t, _ = graph.triples[tid]
-            if pair_counts is None:
-                for kind2, idx2 in ((_USER, u), (_ITEM, r), (_TAG, t)):
-                    deg[kind2][idx2] -= 1
-                    if deg[kind2][idx2] < threshold and not removed[kind2][idx2]:
-                        queue.append((kind2, idx2))
-            else:
-                for pc, key, a, b in _triple_pairs(pair_counts, u, r, t):
-                    pc[key] -= 1
-                    if pc[key] == 0:
-                        for kind2, idx2 in (a, b):
-                            deg[kind2][idx2] -= 1
-                            if deg[kind2][idx2] < threshold and not removed[kind2][idx2]:
-                                queue.append((kind2, idx2))
-
-    survivors = (
-        Interaction(graph.users.id_of(u), graph.items.id_of(r), graph.tags.id_of(t), ts)
-        for tid, (u, r, t, ts) in enumerate(graph.triples)
-        if alive[tid]
-    )
-    return build_graph(survivors)
-
-
-def _triple_pairs(pair_counts, u, r, t):
-    ur, ut, rt = pair_counts
-    return (
-        (ur, (u, r), (_USER, u), (_ITEM, r)),
-        (ut, (u, t), (_USER, u), (_TAG, t)),
-        (rt, (r, t), (_ITEM, r), (_TAG, t)),
-    )
+            for key in links_of(tid):
+                carriers[key] -= 1
+                if carriers[key]:
+                    continue
+                for y in ends_of(key):
+                    deg[y] -= 1
+                    if deg[y] < threshold and not removed[y]:
+                        removed[y] = True
+                        pending = True
+    return _remap(graph, compress(graph.triples, alive))[0]
 
 
 @dataclass(frozen=True)
@@ -343,49 +370,46 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
     if graph.n_triples == 0:
         raise DataError("cannot split an empty graph")
 
+    triples = graph.triples
     per_user = [[] for _ in range(graph.n_users)]
-    for tid, (u, _, _, _) in enumerate(graph.triples):
-        per_user[u].append(tid)
+    for tid, (u, r, t, ts) in enumerate(triples):
+        per_user[u].append((ts, r, t, tid))
 
-    test_ids = set()
-    for u, tids in enumerate(per_user):
-        if len(tids) < 2:
+    held = [False] * len(triples)
+    for u, recs in enumerate(per_user):
+        if len(recs) < 2:
             raise DataError(
-                f"user {graph.users.id_of(u)!r} has {len(tids)} triple(s); need at least 2 to split"
+                f"user {graph.users.id_of(u)!r} has {len(recs)} triple(s); need at least 2 to split"
             )
-        order = sorted(tids, key=lambda tid: (graph.triples[tid][3], graph.triples[tid][1], graph.triples[tid][2]))
-        n_test = math.ceil((1.0 - ratio) * len(order))
-        n_test = max(1, min(n_test, len(order) - 1))
-        test_ids.update(order[len(order) - n_test :])
+        recs.sort()
+        n_test = math.ceil((1.0 - ratio) * len(recs))
+        n_test = max(1, min(n_test, len(recs) - 1))
+        for rec in recs[len(recs) - n_test :]:
+            held[rec[3]] = True
 
-    train_inter, test_inter = [], []
-    for tid, rec in enumerate(graph.interactions()):
-        (test_inter if tid in test_ids else train_inter).append(rec)
+    test_quads = list(compress(triples, held))
+    train, user_map, item_map = _remap(graph, compress(triples, map(not_, held)))
 
-    train = build_graph(train_inter)
-
-    test_items_ext = defaultdict(set)
-    for rec in test_inter:
-        test_items_ext[rec.user].add(rec.item)
+    test_items = {}
+    for u, r, _, _ in test_quads:
+        test_items.setdefault(u, set()).add(r)
 
     test_sets = {}
-    for ext_user, ext_items in test_items_ext.items():
-        u = train.users.index_of(ext_user)
-        reachable, unreachable = set(), set()
-        for ext in ext_items:
-            if ext in train.items:
-                reachable.add(train.items.index_of(ext))
-            else:
-                unreachable.add(ext)
+    for old_u, old_items in test_items.items():
+        u = user_map[old_u]
+        reachable = {item_map[r] for r in old_items if item_map[r] is not None}
+        unreachable = frozenset(graph.items.id_of(r) for r in old_items if item_map[r] is None)
         fresh = reachable - train.user_items[u]
         if fresh or unreachable:
-            test_sets[u] = TestSet(frozenset(fresh), frozenset(unreachable))
+            test_sets[u] = TestSet(frozenset(fresh), unreachable)
         else:
             # every test item was already trained on; keep them so the set is non-empty
             test_sets[u] = TestSet(frozenset(reachable), frozenset())
 
-    realized = len(train_inter) / graph.n_triples
-    return SplitCorpus(train, test_sets, test_inter, ratio, realized)
+    users, items, tags = list(graph.users), list(graph.items), list(graph.tags)
+    test_triples = [Interaction(users[u], items[r], tags[t], ts) for u, r, t, ts in test_quads]
+    realized = train.n_triples / graph.n_triples
+    return SplitCorpus(train, test_sets, test_triples, ratio, realized)
 
 
 def split_summary(graph: TripartiteGraph, split: SplitCorpus) -> dict:

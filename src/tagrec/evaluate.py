@@ -1,8 +1,6 @@
-"""Recall/precision/F1 at k plus wall-clock timing helpers and the report types."""
+"""Recall/precision/F1 at k and the report types."""
 
 import json
-import statistics
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,8 +11,6 @@ __all__ = [
     "precision_at_k",
     "f1_at_k",
     "metrics_at_k",
-    "run_timed",
-    "timed_median",
     "report_text",
     "report_dict",
     "write_report",
@@ -82,27 +78,6 @@ def metrics_at_k(ranklists, test_sets, k: int) -> MetricsAtK:
     r = recall_at_k(ranklists, test_sets, k)
     p = precision_at_k(ranklists, test_sets, k)
     return MetricsAtK(k=k, recall=r, precision=p, f1=f1_at_k(p, r))
-
-
-def run_timed(fn):
-    """Run ``fn()`` and return (result, wall seconds on the monotonic clock)."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
-def timed_median(fn, runs: int = 3):
-    """Run ``fn()`` ``runs`` times; return (first result, median wall seconds)."""
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    result = None
-    times = []
-    for i in range(runs):
-        out, elapsed = run_timed(fn)
-        if i == 0:
-            result = out
-        times.append(elapsed)
-    return result, statistics.median(times)
 
 
 @dataclass

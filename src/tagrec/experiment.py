@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clustering import choose_k, cluster_tag_count, coarse_cluster
-from .corpus import DataError, build_graph, filter_by_degree, read_triples, temporal_split
+from .corpus import DataError, filter_by_degree, read_graph, temporal_split
 from .evaluate import EvalReport, metrics_at_k, report_dict, write_report
 from .profiles import build_profiles
 from .recommend import rank_fcum, rank_ucf, write_ranklists
@@ -196,9 +196,8 @@ def _ratios(reports, k_list) -> dict:
 
 
 def prepare_corpus(cfg: ExperimentConfig):
-    """Shared front half of the pipeline: parse, build, filter, split, profile."""
-    interactions = read_triples(cfg.input)
-    graph = build_graph(interactions)
+    """Shared front half of the pipeline: parse, filter, split, profile."""
+    graph = read_graph(cfg.input)
     filtered = filter_by_degree(graph, cfg.degree_threshold, cfg.degree_mode)
     if filtered.n_triples == 0:
         raise DataError(

@@ -1,5 +1,9 @@
 """Independent brute-force reference implementations, used only by tests.
 
+The corpus oracles work on ``Interaction`` records (external string ids)
+and rebuild every graph through ``build_graph``, as the string-level corpus
+code did before it moved to integer quads.
+
 The clustering oracle works on dense 0/1 Python lists with no caching: it
 recomputes every norm from scratch and sums over the full index range in
 ascending order. Zero terms are additive identities, so its floating-point
@@ -143,8 +147,13 @@ def naive_f1(precision, recall):
     return 2.0 * precision * recall / (precision + recall)
 
 
-def random_graph(rng, max_users=20, max_items=50, max_tags=20, min_triples_per_user=1):
-    """Random small tripartite graph; every user gets at least the given triple count."""
+def random_graph(rng, max_users=20, max_items=50, max_tags=20, min_triples_per_user=1,
+                 max_timestamp=None):
+    """Random small tripartite graph; every user gets at least the given triple count.
+
+    Timestamps count up from 0, or with ``max_timestamp`` are drawn from
+    ``range(max_timestamp)``, which gives ties and exact duplicate records.
+    """
     from tagrec.corpus import Interaction, build_graph
 
     n_users = rng.randint(1, max_users)
@@ -160,8 +169,73 @@ def random_graph(rng, max_users=20, max_items=50, max_tags=20, min_triples_per_u
                     f"u{u}",
                     f"r{rng.randrange(n_items)}",
                     f"t{rng.randrange(n_tags)}",
-                    ts,
+                    ts if max_timestamp is None else rng.randrange(max_timestamp),
                 )
             )
             ts += 1
     return build_graph(records)
+
+
+def naive_filter_by_degree(graph, threshold, degree_mode):
+    """Drop every node under ``threshold`` until none is left, then rebuild.
+
+    Degrees are recounted from the surviving records on every pass: the
+    number of records holding the node, or the number of distinct nodes of
+    the other two kinds it shares a record with.
+    """
+    from tagrec.corpus import build_graph
+
+    records = list(graph.interactions())
+    while True:
+        neighbours = {}
+        for rec in records:
+            nodes = (("u", rec.user), ("r", rec.item), ("t", rec.tag))
+            for node in nodes:
+                seen = neighbours.setdefault(node, [])
+                if degree_mode == "triples":
+                    seen.append(rec)
+                else:
+                    seen.extend(other for other in nodes if other != node and other not in seen)
+        low = {node for node, seen in neighbours.items() if len(seen) < threshold}
+        if not low:
+            return build_graph(records)
+        records = [
+            rec for rec in records
+            if not low & {("u", rec.user), ("r", rec.item), ("t", rec.tag)}
+        ]
+
+
+def naive_temporal_split(graph, ratio):
+    """Hold out each user's latest records, working on external ids only.
+
+    Returns the train graph, the test sets, the test records and the
+    realized train fraction. A test set is keyed by external user id and
+    holds (reachable external items, unreachable external items). Ties in
+    timestamp go by the first appearance of the item, then of the tag.
+    """
+    from tagrec.corpus import DataError, build_graph
+
+    records = list(graph.interactions())
+    first_item, first_tag, by_user = {}, {}, {}
+    for rec in records:
+        first_item.setdefault(rec.item, len(first_item))
+        first_tag.setdefault(rec.tag, len(first_tag))
+        by_user.setdefault(rec.user, []).append(rec)
+    held = set()
+    for user, recs in by_user.items():
+        if len(recs) < 2:
+            raise DataError(f"user {user!r} has too few triples")
+        latest = sorted(recs, key=lambda rec: (rec.timestamp, first_item[rec.item], first_tag[rec.tag]))
+        n_test = max(1, min(math.ceil((1.0 - ratio) * len(recs)), len(recs) - 1))
+        held.update(latest[len(recs) - n_test :])
+    test_records = [rec for rec in records if rec in held]
+    train = build_graph(rec for rec in records if rec not in held)
+    test_sets = {}
+    for user in by_user:
+        trained = {rec.item for rec in records if rec.user == user and rec not in held}
+        tested = {rec.item for rec in test_records if rec.user == user}
+        reachable = {item for item in tested if item in train.items}
+        unreachable = frozenset(tested - reachable)
+        fresh = frozenset(reachable - trained)
+        test_sets[user] = (fresh, unreachable) if fresh or unreachable else (frozenset(reachable), frozenset())
+    return train, test_sets, test_records, (len(records) - len(test_records)) / len(records)

@@ -164,6 +164,21 @@ class TestSplitCommand:
         rebuilt = build_graph(train)
         assert rebuilt.n_users == int(summary["train_users"])
 
+    @pytest.mark.parametrize("command", ["split", "cluster"])
+    @pytest.mark.parametrize("flags, code", [
+        (["--split-ratio", "1.5"], 1),
+        (["--degree-threshold", "-1"], 1),
+        (["--degree-threshold", "9999"], 2),
+    ])
+    def test_bad_flags_and_data_keep_their_exit_codes(self, command, flags, code, corpus_path, tmp_path, capsys):
+        argv = [command, "--input", str(corpus_path), "--output", str(tmp_path / "out"), *flags]
+        assert main(argv) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_missing_input_is_data_error(self, tmp_path):
+        argv = ["split", "--input", str(tmp_path / "ghost.tsv"), "--output", str(tmp_path / "out")]
+        assert main(argv) == 2
+
 
 class TestClusterCommand:
     def test_cluster_dump(self, corpus_path, tmp_path):
@@ -202,7 +217,7 @@ class TestOutputPath:
         def fail(*args, **kwargs):
             raise AssertionError("the command started work despite an unusable --output")
 
-        for name in ("run_experiment", "sweep", "_pipeline_front"):
+        for name in ("run_experiment", "sweep", "prepare_corpus"):
             monkeypatch.setattr(cli, name, fail)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -9,6 +9,7 @@ from tagrec.corpus import (
     build_graph,
     filter_by_degree,
     parse_triples,
+    read_graph,
     read_triples,
     split_summary,
     temporal_split,
@@ -16,7 +17,7 @@ from tagrec.corpus import (
 )
 
 from conftest import make_graph
-from oracles import random_graph
+from oracles import naive_filter_by_degree, naive_temporal_split, random_graph
 
 
 class TestParseTriples:
@@ -59,6 +60,27 @@ class TestParseTriples:
         bad.write_text("u1\tr1\n", encoding="utf-8")
         with pytest.raises(DataError, match="bad.tsv.*line 1"):
             read_triples(bad)
+
+    @pytest.mark.parametrize("text", [
+        "# header\n\nb\tr2\tt1\t3\na\tr1\tt1\t2\nb\tr2\tt1\t3\r\n  \na\tr2\tt2\t0\n",
+        "u1\tr1\tt1\t1\n# note\nu2\tr2\n",
+        "u1\tr1\tt1\t1\n\nu1\tr1\t\t2\n",
+        "u1\tr1\tt1\tsoon\n",
+        "u1\tr1\tt1\t-1\n",
+    ])
+    def test_read_graph_equals_building_the_parsed_records(self, tmp_path, text):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = build_graph(read_triples(path))
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                read_graph(path)
+            assert str(got.value) == str(exc)
+            return
+        got = read_graph(path)
+        assert got == want
+        assert (got.user_items, got.user_tags) == (want.user_items, want.user_tags)
 
 
 class TestBuildGraph:
@@ -250,6 +272,42 @@ class TestTemporalSplit:
 
 def _key(rec):
     return (rec.user, rec.item, rec.tag, rec.timestamp)
+
+
+class TestAgainstStringOracle:
+    def test_filter_and_split_match_oracle_on_random_graphs(self):
+        rng = random.Random(4711)
+        checked_splits = 0
+        for case in range(240):
+            g = random_graph(rng, max_users=25, max_items=30, max_tags=15,
+                             min_triples_per_user=1 + case % 3,
+                             max_timestamp=rng.choice([None, 4, 12]))
+            threshold, degree_mode = case % 4, ("triples", "neighbors")[case // 4 % 2]
+            filtered = filter_by_degree(g, threshold, degree_mode)
+            want = naive_filter_by_degree(g, threshold, degree_mode)
+            assert filtered == want
+            assert (filtered.user_items, filtered.user_tags) == (want.user_items, want.user_tags)
+            if filtered.n_triples == 0:
+                continue
+            ratio = rng.choice([0.3, 0.5, 0.7, 0.8, 0.9])
+            try:
+                want_train, want_sets, want_test, want_fraction = naive_temporal_split(filtered, ratio)
+            except DataError:
+                with pytest.raises(DataError):
+                    temporal_split(filtered, ratio)
+                continue
+            split = temporal_split(filtered, ratio)
+            train = split.train
+            assert train == want_train
+            assert (train.user_items, train.user_tags) == (want_train.user_items, want_train.user_tags)
+            assert split.test_triples == want_test
+            assert split.realized_train_fraction == want_fraction
+            assert {
+                train.users.id_of(u): (frozenset(map(train.items.id_of, ts.items)), ts.unreachable)
+                for u, ts in split.test_sets.items()
+            } == want_sets
+            checked_splits += 1
+        assert checked_splits >= 100
 
 
 class TestRoundTrip:

@@ -1,6 +1,5 @@
 import json
 import random
-import time
 
 import pytest
 
@@ -14,8 +13,6 @@ from tagrec.evaluate import (
     recall_at_k,
     report_dict,
     report_text,
-    run_timed,
-    timed_median,
     write_report,
 )
 from tagrec.recommend import RankList
@@ -159,29 +156,6 @@ class TestAgainstBruteForce:
             assert 0.0 <= m.recall <= 1.0
             assert 0.0 <= m.precision <= 1.0
             assert 0.0 <= m.f1 <= 1.0
-
-
-class TestTiming:
-    def test_run_timed_returns_result_and_nonnegative_time(self):
-        result, elapsed = run_timed(lambda: "done")
-        assert result == "done"
-        assert elapsed >= 0.0
-
-    def test_timed_median_returns_first_result(self):
-        calls = []
-
-        def job():
-            calls.append(time.perf_counter())
-            return len(calls)
-
-        result, elapsed = timed_median(job, runs=3)
-        assert result == 1
-        assert len(calls) == 3
-        assert elapsed >= 0.0
-
-    def test_timed_median_validation(self):
-        with pytest.raises(ValueError):
-            timed_median(lambda: None, runs=0)
 
 
 class TestReportSerialization:

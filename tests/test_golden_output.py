@@ -1,4 +1,5 @@
-"""Pinned end-to-end output of ``tagrec run --mode both --dump-ranklists``.
+"""Pinned end-to-end output of ``tagrec run --mode both --dump-ranklists``
+and of ``tagrec split``.
 
 The CLI runs in two child processes with different ``PYTHONHASHSEED`` values
 on a small seeded corpus. Both ranklist dumps, and ``combined.json`` without
@@ -6,17 +7,25 @@ its ``timing`` section, must hash to the digests pinned below. The pins were
 taken from the reference implementation before the scoring kernel and the
 clustering pass were rewritten, so any change to a score's float bits, to a
 tie order or to a cluster assignment shows up here.
+
+The ``split`` pins were taken from the string-level corpus code (every
+filter and split re-interned ``Interaction`` records) before the corpus was
+moved to integer quads, so a change to an interning order, a duplicate
+collapse, a pruning cascade or a held-out record shows up in ``train.tsv``,
+``test.tsv`` or ``summary.txt``.
 """
 
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from tagrec.corpus import build_graph, filter_by_degree, parse_triples, temporal_split
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
 
 SPEC = SyntheticSpec(
@@ -39,6 +48,53 @@ PINNED = {
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+SPLIT_THRESHOLD = {"triples": "2", "neighbors": "3"}
+SPLIT_PINNED = {
+    "triples": {
+        "train.tsv": "f333a180a3a7c60ce15322dc30e9a2a5a93633f4229a44ea5ea5cb922e9f38b4",
+        "test.tsv": "67c0d8c309456a9488c725b5f6a76d5f4992ee3f3bbdf27262c844c0fe6fc7d4",
+        "summary.txt": "e61117f7aa841037168f9912c5fe365a97782aa4988740fcf32865d53007a06f",
+    },
+    "neighbors": {
+        "train.tsv": "9ca32e355f0d2319fe6c6ad52e96adb24731eb5ef972363749926e4fb494db77",
+        "test.tsv": "921f3dbbf585cd3e4f0c2b56fbea05177d20e144c6cd1c5bc919d195f59c1a2c",
+        "summary.txt": "0ae3d3be63efedfa6b7f188d57c8a66bac17f69a1583d0103d1e4985ec1907ed",
+    },
+}
+
+
+def split_corpus_lines() -> list[str]:
+    """A small corpus built to exercise every branch of parse, filter and split.
+
+    It has exact duplicate records, blank, blank-looking and ``#`` lines,
+    timestamp ties, users and items that the degree filter prunes, a user
+    whose every held-out item also occurs in their training triples (the
+    fallback test set), and an item that occurs only in held-out triples
+    (unreachable).
+    """
+    rng = random.Random(31)
+    lines = ["# user\titem\ttag\ttimestamp", ""]
+    for u in range(30):
+        for _ in range(rng.randint(3, 12)):
+            record = f"u{u}\tr{rng.randrange(60)}\tt{rng.randrange(20)}\t{rng.randrange(400)}"
+            lines.append(record)
+            if rng.random() < 0.1:
+                lines.append(record)  # exact duplicate
+        if u % 7 == 3:
+            lines.extend(["   ", "# a comment between users"])
+    # every held-out item of "fallback" is one it trained on
+    lines += [f"fallback\tr{r}\tt{t}\t{ts}" for r, t, ts in
+              ((1, 1, 1), (2, 2, 2), (3, 1, 3), (1, 3, 900), (2, 1, 901))]
+    # "rnew" is only ever the latest item of two users, so it is never trained on
+    lines += [f"late{u}\tr{r}\tt{u}\t{ts}" for u in (1, 2) for r, ts in
+              ((4, 5), (5, 6), (6, 7), ("new", 999))]
+    lines += [f"solo\tr99\tt99\t{ts}" for ts in (1, 1)]  # pruned: one distinct triple
+    # pruned only after "solo" takes r99 down with it
+    lines += ["chain\tr99\tt5\t3", "chain\tr97\tt6\t4"]
+    # three triples but two distinct neighbours: kept by triple degree only
+    lines += [f"rep\tr98\tt98\t{ts}" for ts in (10, 20, 30)]
+    return [line + "\n" for line in lines]
+
 
 def _digests(directory: Path) -> dict[str, str]:
     out = {}
@@ -51,18 +107,45 @@ def _digests(directory: Path) -> dict[str, str]:
     return out
 
 
-def _run_cli(workdir: Path, hash_seed: str) -> dict[str, str]:
+def _run_cli(workdir: Path, hash_seed: str, args) -> None:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "tagrec.cli", *RUN_ARGS],
+        [sys.executable, "-m", "tagrec.cli", *args],
         cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return _digests(workdir / "out")
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])
 def test_run_output_matches_pinned_digests(tmp_path, hash_seed):
     generate_synthetic(SPEC, tmp_path / "corpus.tsv")
-    assert _run_cli(tmp_path, hash_seed) == PINNED
+    _run_cli(tmp_path, hash_seed, RUN_ARGS)
+    assert _digests(tmp_path / "out") == PINNED
+
+
+@pytest.mark.parametrize("degree_mode", sorted(SPLIT_PINNED))
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_split_output_matches_pinned_digests(tmp_path, hash_seed, degree_mode):
+    (tmp_path / "corpus.tsv").write_text("".join(split_corpus_lines()), encoding="utf-8")
+    _run_cli(tmp_path, hash_seed, ["split", "--input", "corpus.tsv", "--output", "out",
+                                   "--degree-threshold", SPLIT_THRESHOLD[degree_mode],
+                                   "--degree-mode", degree_mode])
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in SPLIT_PINNED[degree_mode]}
+    assert digests == SPLIT_PINNED[degree_mode]
+
+
+@pytest.mark.parametrize("degree_mode", sorted(SPLIT_PINNED))
+def test_split_corpus_exercises_every_case(degree_mode):
+    records = parse_triples(split_corpus_lines())
+    graph = build_graph(records)
+    assert graph.n_triples < len(records)
+    filtered = filter_by_degree(graph, int(SPLIT_THRESHOLD[degree_mode]), degree_mode)
+    assert {"solo", "chain"} <= set(graph.users) - set(filtered.users)
+    assert ("rep" in filtered.users) == (degree_mode == "triples")
+    split = temporal_split(filtered, 0.8)
+    fallback = split.train.users.index_of("fallback")
+    assert split.test_sets[fallback].items <= split.train.user_items[fallback]
+    for user in ("late1", "late2"):
+        assert split.test_sets[split.train.users.index_of(user)].unreachable == {"rnew"}

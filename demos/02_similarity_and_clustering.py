@@ -1,16 +1,14 @@
-"""Walkthrough of user profiles, similarity kernels, and coarse clustering.
+"""Walkthrough of user profiles, the similarity kernel, and coarse clustering.
 
 Run with: python3 demos/02_similarity_and_clustering.py
 """
 
 from tagrec import (
-    FeatureWeights,
     build_graph,
     build_profiles,
     choose_k,
     coarse_cluster,
     cosine,
-    multi_feature_similarity,
     user_centroid_similarity,
     user_similarity,
 )
@@ -43,16 +41,7 @@ def main():
     print(f"user_similarity(u0, u1, beta=0.5) = {user_similarity(profiles[same_a], profiles[other], 0.5):.4f}"
           "   <- different community, near zero")
 
-    print("\n== 3. the generalized weighted form specializes to the two-feature kernel")
-    weights = FeatureWeights(beta=0.5)
-    combined = multi_feature_similarity(
-        [profiles[same_a].item_set, profiles[same_a].tag_set],
-        [profiles[same_b].item_set, profiles[same_b].tag_set],
-        weights,
-    )
-    print(f"multi_feature_similarity == user_similarity: {combined == user_similarity(profiles[same_a], profiles[same_b], 0.5)}")
-
-    print("\n== 4. coarse clustering: two batch rounds, no convergence check")
+    print("\n== 3. coarse clustering: two batch rounds, no convergence check")
     k = choose_k(graph.n_users, avg_cluster_size=8)
     clustering = coarse_cluster(graph, profiles, k=k, iterations=2, gamma=0.5, seed=1)
     print(f"k={k} clusters, sizes {[len(m) for m in clustering.user_clusters]}")
@@ -62,7 +51,7 @@ def main():
         print(f"  cluster {j}: {len(members)} users from communities {communities}, "
               f"{len(pool)} pooled items")
 
-    print("\n== 5. user-to-centroid similarities drive the reassignment")
+    print("\n== 4. user-to-centroid similarities drive the reassignment")
     u0 = 0
     for j, centroid in enumerate(clustering.centroids):
         sim = user_centroid_similarity(profiles[u0], centroid, gamma=0.5)

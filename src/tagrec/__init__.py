@@ -46,14 +46,7 @@ from .evaluate import (
     recall_at_k,
 )
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment, sweep
-from .profiles import (
-    FeatureWeights,
-    UserProfile,
-    build_profiles,
-    cosine,
-    multi_feature_similarity,
-    user_similarity,
-)
+from .profiles import UserProfile, build_profiles, cosine, user_similarity
 from .recommend import RankList, rank_fcum, rank_ucf, score, write_ranklists
 from .synthetic import SyntheticSpec, generate_interactions, generate_synthetic
 

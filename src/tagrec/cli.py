@@ -9,33 +9,20 @@ explicit flags override it.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from .clustering import choose_k, coarse_cluster, write_clustering
 from .corpus import DataError, split_summary, write_summary, write_triples
-from .experiment import SWEEPABLE, ExperimentConfig, prepare_corpus, run_experiment, sweep
+from .experiment import SWEEPABLE, ExperimentConfig, prepare_corpus, run_experiment, split_corpus, sweep
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = ["main", "run_main"]
 
-_CONFIG_KEYS = (
-    "input",
-    "mode",
-    "degree_threshold",
-    "split_ratio",
-    "beta",
-    "gamma",
-    "avg_cluster_size",
-    "iterations",
-    "k_list",
-    "seed",
-    "output",
-    "degree_mode",
-    "timing_runs",
-    "dump_ranklists",
-)
+# The config-file keys and the flags read into a config; a field's type picks its parser.
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,20 +48,20 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
 def _add_experiment_flags(parser):
     parser.add_argument("--input", help="TSV corpus (user, item, tag, timestamp)")
     parser.add_argument("--mode", choices=["ucf", "fcum", "both"])
-    parser.add_argument("--degree-threshold", type=int, dest="degree_threshold")
-    parser.add_argument("--split-ratio", type=float, dest="split_ratio")
+    parser.add_argument("--degree-threshold", type=int)
+    parser.add_argument("--split-ratio", type=float)
     parser.add_argument("--beta", type=float)
     parser.add_argument("--gamma", type=float)
-    parser.add_argument("--avg-cluster-size", type=int, dest="avg_cluster_size")
+    parser.add_argument("--avg-cluster-size", type=int)
     parser.add_argument("--iterations", type=int)
-    parser.add_argument("--k-list", dest="k_list", help="comma list or lo..hi range (default 1..20)")
+    parser.add_argument("--k-list", help="comma list or lo..hi range (default 1..20)")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--output", help="directory for report files")
-    parser.add_argument("--degree-mode", choices=["triples", "neighbors"], dest="degree_mode")
-    parser.add_argument("--timing-runs", type=int, dest="timing_runs",
+    parser.add_argument("--degree-mode", choices=["triples", "neighbors"])
+    parser.add_argument("--timing-runs", type=int,
                         help="timed repetitions per algorithm; the median is reported")
     parser.add_argument("--dump-ranklists", action="store_true", default=None,
-                        dest="dump_ranklists", help="also write per-user ranklists to the output dir")
+                        help="also write per-user ranklists to the output dir")
     parser.add_argument("--config", help="key=value file supplying defaults for the flags above")
 
 
@@ -92,7 +79,7 @@ def _read_config_file(path) -> dict:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -107,35 +94,22 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-_COERCE = {
-    "degree_threshold": int,
-    "avg_cluster_size": int,
-    "iterations": int,
-    "seed": int,
-    "timing_runs": int,
-    "split_ratio": float,
-    "beta": float,
-    "gamma": float,
-    "k_list": _parse_k_list,
-    "dump_ranklists": _parse_bool,
-}
+_PARSE_BY_TYPE = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: _parse_k_list}
 
 
 def _build_config(args) -> ExperimentConfig:
     merged = {}
     if args.config:
         for key, raw in _read_config_file(args.config).items():
-            coerce = _COERCE.get(key)
+            parse = _PARSE_BY_TYPE.get(_FIELD_TYPES[key])
             try:
-                merged[key] = coerce(raw) if coerce else raw
+                merged[key] = parse(raw) if parse else raw
             except ValueError:
                 raise ValueError(f"config key {key}: bad value {raw!r}") from None
-    for key in _CONFIG_KEYS:
-        if key == "k_list":
-            if args.k_list is not None:
-                merged["k_list"] = _parse_k_list(args.k_list)
-        elif getattr(args, key, None) is not None:
-            merged[key] = getattr(args, key)
+    for key in _FIELD_TYPES:
+        value = getattr(args, key, None)
+        if value is not None:
+            merged[key] = _parse_k_list(value) if key == "k_list" else value
     if "input" not in merged:
         raise ValueError("--input is required (flag or config file)")
     return ExperimentConfig(**merged)
@@ -197,7 +171,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--param must be one of {SWEEPABLE}")
     if cfg.output is not None:
         _check_output(cfg.output, directory=True)
-    cast = int if args.param in ("iterations", "avg_cluster_size", "degree_threshold") else float
+    cast = _FIELD_TYPES[args.param]
     try:
         values = [cast(tok) for tok in args.values.split(",") if tok.strip()]
     except ValueError:
@@ -225,15 +199,18 @@ def _cmd_gen(args) -> int:
 
 
 def _corpus_config(args) -> ExperimentConfig:
-    """The ``ExperimentConfig`` of a ``split`` or ``cluster`` command's flags."""
-    names = ("degree_threshold", "degree_mode", "split_ratio",
-             "gamma", "avg_cluster_size", "iterations", "seed")
-    return ExperimentConfig(input=args.input, **{n: getattr(args, n) for n in names if hasattr(args, n)})
+    """The ``ExperimentConfig`` of the flags given to ``split`` or ``cluster``.
+
+    ``--output`` names the command's own output, not a report directory.
+    """
+    given = {name: value for name, value in vars(args).items()
+             if name in _FIELD_TYPES and name != "output" and value is not None}
+    return ExperimentConfig(**given)
 
 
 def _cmd_split(args) -> int:
     _check_output(args.output, directory=True)
-    filtered, split, _ = prepare_corpus(_corpus_config(args))
+    filtered, split = split_corpus(_corpus_config(args))
     directory = Path(args.output)
     directory.mkdir(parents=True, exist_ok=True)
     write_triples(split.train.interactions(), directory / "train.tsv")
@@ -275,8 +252,8 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--items", type=int, default=20000)
     p_gen.add_argument("--tags", type=int, default=5000)
     p_gen.add_argument("--communities", type=int, default=16)
-    p_gen.add_argument("--triples-per-user", type=int, default=120, dest="triples_per_user")
-    p_gen.add_argument("--in-community-prob", type=float, default=0.85, dest="in_community_prob")
+    p_gen.add_argument("--triples-per-user", type=int, default=120)
+    p_gen.add_argument("--in-community-prob", type=float, default=0.85)
     p_gen.add_argument("--seed", type=int, default=42)
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -287,15 +264,14 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"persist a {name} for a corpus")
         p.add_argument("--input", required=True)
         p.add_argument("--output", required=True, help=out_help)
-        p.add_argument("--degree-threshold", type=int, default=5, dest="degree_threshold")
-        p.add_argument("--degree-mode", choices=["triples", "neighbors"], default="triples",
-                       dest="degree_mode")
-        p.add_argument("--split-ratio", type=float, default=0.8, dest="split_ratio")
+        p.add_argument("--degree-threshold", type=int)
+        p.add_argument("--degree-mode", choices=["triples", "neighbors"])
+        p.add_argument("--split-ratio", type=float)
         if name == "cluster":
-            p.add_argument("--gamma", type=float, default=0.5)
-            p.add_argument("--avg-cluster-size", type=int, default=90, dest="avg_cluster_size")
-            p.add_argument("--iterations", type=int, default=2)
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--gamma", type=float)
+            p.add_argument("--avg-cluster-size", type=int)
+            p.add_argument("--iterations", type=int)
+            p.add_argument("--seed", type=int)
         p.set_defaults(func=handler)
 
     return parser

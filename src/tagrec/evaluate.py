@@ -1,6 +1,13 @@
-"""Recall/precision/F1 at k and the report types."""
+"""Recall/precision/F1 at k, the report types and the report writers.
 
+Every report file is written atomically: to a temp file in the same
+directory, then renamed over its target, so a failed write leaves the
+earlier file in place and no partial file behind.
+"""
+
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,6 +20,7 @@ __all__ = [
     "metrics_at_k",
     "report_text",
     "report_dict",
+    "write_json",
     "write_report",
 ]
 
@@ -118,14 +126,33 @@ def report_dict(report: EvalReport) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """A text file that replaces ``path`` once the block ends without error."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc) -> Path:
+    """Write ``doc`` as indented, key-sorted JSON; return the path."""
+    path = Path(path)
+    with _atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def write_report(report: EvalReport, directory, stem: str) -> list[Path]:
     """Write ``<stem>.report.txt`` and ``<stem>.report.json``; return the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     txt_path = directory / f"{stem}.report.txt"
-    json_path = directory / f"{stem}.report.json"
-    txt_path.write_text(report_text(report), encoding="utf-8")
-    json_path.write_text(
-        json.dumps(report_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return [txt_path, json_path]
+    with _atomic_open(txt_path) as fh:
+        fh.write(report_text(report))
+    return [txt_path, write_json(directory / f"{stem}.report.json", report_dict(report))]

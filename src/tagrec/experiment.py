@@ -7,7 +7,6 @@ comparable; the combined report then also carries their ratios.
 """
 
 import dataclasses
-import json
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from pathlib import Path
 
 from .clustering import choose_k, cluster_tag_count, coarse_cluster
 from .corpus import DataError, filter_by_degree, read_graph, temporal_split
-from .evaluate import EvalReport, metrics_at_k, report_dict, write_report
+from .evaluate import EvalReport, metrics_at_k, report_dict, write_json, write_report
 from .profiles import build_profiles
 from .recommend import rank_fcum, rank_ucf, write_ranklists
 
@@ -102,78 +101,55 @@ def fcum_scored_work(clustering, train) -> int:
     return total
 
 
-def _run_ucf(split, profiles, cfg, kmax):
-    samples = []
-    ranklists = None
-    for i in range(cfg.timing_runs):
-        start = time.perf_counter()
-        result = rank_ucf(split.train, profiles, cfg.beta, kmax)
-        total = time.perf_counter() - start
-        samples.append(total)
-        if i == 0:
-            ranklists = result
-    per_k = [metrics_at_k(ranklists, split.test_sets, k) for k in cfg.k_list]
-    train = split.train
-    report = EvalReport(
-        mode="ucf",
-        per_k=per_k,
-        timing={
-            "cluster_seconds": 0.0,
-            "score_seconds": statistics.median(samples),
-            "total_seconds": statistics.median(samples),
-            "timing_runs": cfg.timing_runs,
-        },
-        work={
-            "users": train.n_users,
-            "items": train.n_items,
-            "tags": train.n_tags,
-            "scored_work": ucf_scored_work(train),
-            "ucf_scored_work": ucf_scored_work(train),
-        },
-        config=dict(cfg.echo(), k_clusters=None),
-    )
-    return report, ranklists
+def _run_mode(mode, split, profiles, cfg, kmax):
+    """Time ``cfg.timing_runs`` runs of one mode; keep the first run's ranklists.
 
-
-def _run_fcum(split, profiles, cfg, kmax):
+    ``fcum`` clusters the users and then ranks within each cluster, and its
+    report carries the clustering's work counters; ``ucf`` ranks every user
+    against all users, so its clustering time is 0 and its score time is its
+    total time.
+    """
     train = split.train
-    k_clusters = choose_k(train.n_users, cfg.avg_cluster_size)
+    k_clusters = choose_k(train.n_users, cfg.avg_cluster_size) if mode == "fcum" else None
     samples = []
-    clustering = None
-    ranklists = None
     for i in range(cfg.timing_runs):
-        start = time.perf_counter()
-        clust = coarse_cluster(train, profiles, k_clusters, cfg.iterations, cfg.gamma, cfg.seed)
-        mid = time.perf_counter()
-        result = rank_fcum(clust, train, profiles, cfg.beta, kmax)
+        start = mid = time.perf_counter()
+        if mode == "fcum":
+            clust = coarse_cluster(train, profiles, k_clusters, cfg.iterations, cfg.gamma, cfg.seed)
+            mid = time.perf_counter()
+            result = rank_fcum(clust, train, profiles, cfg.beta, kmax)
+        else:
+            clust, result = None, rank_ucf(train, profiles, cfg.beta, kmax)
         end = time.perf_counter()
         samples.append((mid - start, end - mid, end - start))
         if i == 0:
             clustering, ranklists = clust, result
-    per_k = [metrics_at_k(ranklists, split.test_sets, k) for k in cfg.k_list]
+    timing = dict(zip(("cluster_seconds", "score_seconds", "total_seconds"),
+                      map(statistics.median, zip(*samples))))
+    timing["timing_runs"] = cfg.timing_runs
+    work = {
+        "users": train.n_users,
+        "items": train.n_items,
+        "tags": train.n_tags,
+        "scored_work": ucf_scored_work(train),
+        "ucf_scored_work": ucf_scored_work(train),
+    }
+    if clustering is not None:
+        work.update(
+            scored_work=fcum_scored_work(clustering, train),
+            clusters=clustering.k,
+            nonempty_clusters=clustering.nonempty_clusters(),
+            member_total=sum(len(m) for m in clustering.user_clusters),
+            clustering_coordinate_ops=clustering.coordinate_ops,
+        )
     report = EvalReport(
-        mode="fcum",
-        per_k=per_k,
-        timing={
-            "cluster_seconds": statistics.median(s[0] for s in samples),
-            "score_seconds": statistics.median(s[1] for s in samples),
-            "total_seconds": statistics.median(s[2] for s in samples),
-            "timing_runs": cfg.timing_runs,
-        },
-        work={
-            "users": train.n_users,
-            "items": train.n_items,
-            "tags": train.n_tags,
-            "scored_work": fcum_scored_work(clustering, train),
-            "ucf_scored_work": ucf_scored_work(train),
-            "clusters": clustering.k,
-            "nonempty_clusters": clustering.nonempty_clusters(),
-            "member_total": sum(len(m) for m in clustering.user_clusters),
-            "clustering_coordinate_ops": clustering.coordinate_ops,
-        },
+        mode=mode,
+        per_k=[metrics_at_k(ranklists, split.test_sets, k) for k in cfg.k_list],
+        timing=timing,
+        work=work,
         config=dict(cfg.echo(), k_clusters=k_clusters),
     )
-    return report, clustering, ranklists
+    return report, ranklists
 
 
 def _ratios(reports, k_list) -> dict:
@@ -195,17 +171,21 @@ def _ratios(reports, k_list) -> dict:
     return out
 
 
-def prepare_corpus(cfg: ExperimentConfig):
-    """Shared front half of the pipeline: parse, filter, split, profile."""
+def split_corpus(cfg: ExperimentConfig):
+    """Parse, filter and split the corpus; return ``(filtered, split)``."""
     graph = read_graph(cfg.input)
     filtered = filter_by_degree(graph, cfg.degree_threshold, cfg.degree_mode)
     if filtered.n_triples == 0:
         raise DataError(
             f"degree threshold {cfg.degree_threshold} removed every triple; try a lower --degree-threshold"
         )
-    split = temporal_split(filtered, cfg.split_ratio)
-    profiles = build_profiles(split.train)
-    return filtered, split, profiles
+    return filtered, temporal_split(filtered, cfg.split_ratio)
+
+
+def prepare_corpus(cfg: ExperimentConfig):
+    """Shared front half of the pipeline: ``split_corpus``, then the profiles."""
+    filtered, split = split_corpus(cfg)
+    return filtered, split, build_profiles(split.train)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -220,10 +200,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     reports: dict[str, EvalReport] = {}
     ranklists_by_mode = {}
-    if cfg.mode in ("ucf", "both"):
-        reports["ucf"], ranklists_by_mode["ucf"] = _run_ucf(split, profiles, cfg, kmax)
-    if cfg.mode in ("fcum", "both"):
-        reports["fcum"], _, ranklists_by_mode["fcum"] = _run_fcum(split, profiles, cfg, kmax)
+    for mode in ("ucf", "fcum"):
+        if cfg.mode in (mode, "both"):
+            reports[mode], ranklists_by_mode[mode] = _run_mode(mode, split, profiles, cfg, kmax)
 
     ratios = _ratios(reports, cfg.k_list) if len(reports) == 2 else None
     result = ExperimentResult(reports=reports, ratios=ratios)
@@ -239,28 +218,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 write_ranklists(ranklists, split.train, path)
                 result.written.append(path)
         if ratios is not None:
-            metric_ratios = {k: v for k, v in ratios.items() if k != "total_seconds"}
+            docs, timing = _report_docs(reports)
             combined = {
                 "config": cfg.echo(),
-                "ucf": _strip_timing(reports["ucf"]),
-                "fcum": _strip_timing(reports["fcum"]),
-                "ratios": metric_ratios,
-                "timing": {
-                    "ucf": {k: round(v, 3) for k, v in reports["ucf"].timing.items()},
-                    "fcum": {k: round(v, 3) for k, v in reports["fcum"].timing.items()},
-                    "total_seconds_ratio": ratios["total_seconds"],
-                },
+                **docs,
+                "ratios": {k: v for k, v in ratios.items() if k != "total_seconds"},
+                "timing": dict(timing, total_seconds_ratio=ratios["total_seconds"]),
             }
-            path = directory / "combined.json"
-            path.write_text(json.dumps(combined, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-            result.written.append(path)
+            result.written.append(write_json(directory / "combined.json", combined))
     return result
 
 
-def _strip_timing(report: EvalReport) -> dict:
-    doc = report_dict(report)
-    doc.pop("timing", None)
-    return doc
+def _report_docs(reports: dict[str, EvalReport]) -> tuple[dict, dict]:
+    """Each mode's ``report_dict`` without its timing, and the timings by mode."""
+    docs = {mode: report_dict(report) for mode, report in reports.items()}
+    return docs, {mode: doc.pop("timing") for mode, doc in docs.items()}
 
 
 def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
@@ -284,28 +256,18 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
     if cfg.output is not None:
         directory = Path(cfg.output)
         directory.mkdir(parents=True, exist_ok=True)
+        runs, timing = {}, {}
+        for value, result in zip(values, results):
+            docs, timing[str(value)] = _report_docs(result.reports)
+            runs[str(value)] = docs | ({"ratios": result.ratios} if result.ratios else {})
         doc = {
             "param": param,
             "values": [_json_value(v) for v in values],
             "config": cfg.echo(),
-            "runs": {
-                str(value): {
-                    mode: _strip_timing(report) for mode, report in result.reports.items()
-                }
-                | ({"ratios": result.ratios} if result.ratios else {})
-                for value, result in zip(values, results)
-            },
-            "timing": {
-                str(value): {
-                    mode: {k: round(v, 3) for k, v in report.timing.items()}
-                    for mode, report in result.reports.items()
-                }
-                for value, result in zip(values, results)
-            },
+            "runs": runs,
+            "timing": timing,
         }
-        path = directory / "sweep.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        results[0].written.append(path)
+        results[0].written.append(write_json(directory / "sweep.json", doc))
     return results
 
 

@@ -1,24 +1,20 @@
-"""Binary user incidence profiles and the similarity kernels over them.
+"""Binary user incidence profiles and the similarity kernel over them.
 
-All vectors are sparse: binary vectors are sets of indices, weighted vectors
-are index->value mappings. Dot products iterate indices in ascending order so
-float accumulation is reproducible run to run, and cosine denominators are
-computed as ``sqrt(normsq_a * normsq_b)`` (one square root) so that
-self-similarity is exactly 1.0.
+A profile holds a user's item set and tag set; both are binary vectors given
+as sets of indices. The cosine of two sets is |a & b| / sqrt(|a| * |b|), one
+square root over the product of the sizes, so self-similarity is exactly 1.0.
+``user_similarity`` mixes the item-side and tag-side cosines with ``beta``.
 """
 
 import math
 from collections import defaultdict
-from collections.abc import Mapping, Set
 
 __all__ = [
     "UserProfile",
-    "FeatureWeights",
     "build_profiles",
     "posting_lists",
     "cosine",
     "user_similarity",
-    "multi_feature_similarity",
 ]
 
 
@@ -68,7 +64,11 @@ def posting_lists(users, profiles) -> tuple[dict[int, list[int]], dict[int, list
     return item_post, tag_post
 
 
-def _set_cosine(a, b) -> float:
+def cosine(a, b) -> float:
+    """Cosine similarity of two binary vectors given as sets of indices.
+
+    Returns 0.0 whenever either vector is empty or they share no index.
+    """
     if not a or not b:
         return 0.0
     inter = len(a & b)
@@ -77,100 +77,9 @@ def _set_cosine(a, b) -> float:
     return inter / math.sqrt(len(a) * len(b))
 
 
-def _norm_sq(vec: Mapping) -> float:
-    total = 0.0
-    for key in sorted(vec):
-        v = vec[key]
-        total += v * v
-    return total
-
-
-def _map_cosine(a: Mapping, b: Mapping) -> float:
-    na, nb = _norm_sq(a), _norm_sq(b)
-    denom_sq = na * nb
-    if denom_sq == 0.0:
-        return 0.0
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    dot = 0.0
-    for key in sorted(small):
-        other = large.get(key)
-        if other is not None:
-            dot += small[key] * other
-    return dot / math.sqrt(denom_sq)
-
-
-def _set_map_cosine(s, vec: Mapping) -> float:
-    denom_sq = len(s) * _norm_sq(vec)
-    if denom_sq == 0.0:
-        return 0.0
-    dot = 0.0
-    for key in sorted(s):
-        v = vec.get(key)
-        if v is not None:
-            dot += v
-    return dot / math.sqrt(denom_sq)
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two sparse non-negative vectors.
-
-    Binary vectors are passed as sets of indices, weighted ones as
-    index->value mappings; the two forms can be mixed. Returns 0.0 whenever
-    either vector has zero norm.
-    """
-    a_set, b_set = isinstance(a, Set), isinstance(b, Set)
-    if a_set and b_set:
-        return _set_cosine(a, b)
-    if a_set:
-        return _set_map_cosine(a, b)
-    if b_set:
-        return _set_map_cosine(b, a)
-    return _map_cosine(a, b)
-
-
 def user_similarity(u: UserProfile, v: UserProfile, beta: float) -> float:
     """Convex combination of the item-side and tag-side cosine similarities."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be in [0, 1]")
-    return beta * _set_cosine(u.item_set, v.item_set) + (1.0 - beta) * _set_cosine(u.tag_set, v.tag_set)
+    return beta * cosine(u.item_set, v.item_set) + (1.0 - beta) * cosine(u.tag_set, v.tag_set)
 
-
-class FeatureWeights:
-    """Per-feature weights for the generalized similarity; they must sum to 1.
-
-    The two-feature default ``(items, beta), (tags, 1-beta)`` makes the
-    generalized form coincide with :func:`user_similarity`.
-    """
-
-    __slots__ = ("beta", "generalized")
-
-    def __init__(self, beta: float = 0.5, generalized=None):
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError("beta must be in [0, 1]")
-        if generalized is None:
-            generalized = (("items", beta), ("tags", 1.0 - beta))
-        generalized = tuple((str(name), float(w)) for name, w in generalized)
-        for name, w in generalized:
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"weight for {name!r} must be in [0, 1], got {w}")
-        total = sum(w for _, w in generalized)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"feature weights must sum to 1 (got {total})")
-        self.beta = beta
-        self.generalized = generalized
-
-    def __repr__(self):
-        return f"FeatureWeights({self.generalized!r})"
-
-
-def multi_feature_similarity(features_u, features_v, weights: FeatureWeights) -> float:
-    """Weighted sum of per-feature cosines over parallel feature vector lists."""
-    if len(features_u) != len(weights.generalized) or len(features_v) != len(weights.generalized):
-        raise ValueError(
-            f"expected {len(weights.generalized)} feature vectors per user, "
-            f"got {len(features_u)} and {len(features_v)}"
-        )
-    total = 0.0
-    for (name, w), fu, fv in zip(weights.generalized, features_u, features_v):
-        total += w * cosine(fu, fv)
-    return total

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
-from tagrec import cli
+from tagrec import cli, experiment
 from tagrec.cli import main
 from tagrec.corpus import build_graph, read_triples
+from tagrec.experiment import ExperimentConfig
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -98,6 +100,32 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "fcum:" in out and "ucf:" not in out
 
+    def test_config_file_and_flags_give_the_same_config(self, corpus_path, tmp_path):
+        values = {
+            "input": str(corpus_path), "mode": "fcum", "degree_threshold": "2", "split_ratio": "0.75",
+            "beta": "0.4", "gamma": "0.6", "avg_cluster_size": "12", "iterations": "3",
+            "k_list": "1,5,10", "seed": "9", "output": str(tmp_path / "out"),
+            "degree_mode": "neighbors", "timing_runs": "2", "dump_ranklists": "yes",
+        }
+        assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
+        flags = ["--dump-ranklists"]
+        for key, value in values.items():
+            if key != "dump_ranklists":
+                flags += [f"--{key.replace('_', '-')}", value]
+
+        seen = []
+        for argv in (["run", "--config", str(cfg)], ["run", *flags]):
+            assert main(argv) == 0
+            out = tmp_path / "out"
+            report = json.loads((out / "fcum.report.json").read_text(encoding="utf-8"))
+            seen.append((report["config"], (out / "fcum.ranklists.tsv").read_bytes()))
+        assert seen[0] == seen[1]
+        echo = seen[0][0]
+        defaults = ExperimentConfig(input="").echo()
+        assert all(echo[key] != default for key, default in defaults.items())
+
     def test_unknown_config_key_rejected(self, corpus_path, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("inpt=x\n", encoding="utf-8")
@@ -179,6 +207,14 @@ class TestSplitCommand:
         argv = ["split", "--input", str(tmp_path / "ghost.tsv"), "--output", str(tmp_path / "out")]
         assert main(argv) == 2
 
+    def test_split_builds_no_profiles(self, corpus_path, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("split built user profiles it never writes")
+
+        monkeypatch.setattr(experiment, "build_profiles", fail)
+        argv = ["split", "--input", str(corpus_path), "--output", str(tmp_path / "out"), "--degree-threshold", "2"]
+        assert main(argv) == 0
+
 
 class TestClusterCommand:
     def test_cluster_dump(self, corpus_path, tmp_path):
@@ -203,6 +239,23 @@ class TestClusterCommand:
         labels = {int(line.split("\t")[1]) for line in lines}
         assert labels and max(labels) < 50 // 12 + 1
 
+    def test_omitted_flags_are_the_config_defaults(self, tmp_path):
+        corpus = tmp_path / "corpus.tsv"
+        generate_synthetic(SyntheticSpec(n_users=240, n_items=600, n_tags=150, n_communities=4,
+                                         triples_per_user=30, in_community_prob=0.9, seed=3), corpus)
+        defaults = ExperimentConfig(input=str(corpus))
+        spelled = []
+        for name in ("degree_threshold", "degree_mode", "split_ratio", "gamma", "avg_cluster_size",
+                     "iterations", "seed"):
+            spelled += [f"--{name.replace('_', '-')}", str(getattr(defaults, name))]
+        dumps = []
+        for extra in ([], spelled):
+            dump = tmp_path / f"clusters{len(dumps)}.tsv"
+            assert main(["cluster", "--input", str(corpus), "--output", str(dump), *extra]) == 0
+            dumps.append(dump.read_bytes())
+        assert dumps[0] == dumps[1]
+        assert len({line.split(b"\t")[1] for line in dumps[0].splitlines()}) > 1
+
 
 class TestOutputPath:
     COMMANDS = {
@@ -217,7 +270,7 @@ class TestOutputPath:
         def fail(*args, **kwargs):
             raise AssertionError("the command started work despite an unusable --output")
 
-        for name in ("run_experiment", "sweep", "prepare_corpus"):
+        for name in ("run_experiment", "sweep", "prepare_corpus", "split_corpus"):
             monkeypatch.setattr(cli, name, fail)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -13,6 +13,7 @@ from tagrec.evaluate import (
     recall_at_k,
     report_dict,
     report_text,
+    write_json,
     write_report,
 )
 from tagrec.recommend import RankList
@@ -183,3 +184,16 @@ class TestReportSerialization:
         assert doc["metrics"][0] == {"k": 5, "recall": 0.11916, "precision": 0.05244, "f1": 0.07283}
         assert doc["timing"]["score_seconds"] == 1.235
         assert doc["config"] == {"beta": 0.5}
+
+    def test_json_is_indented_and_key_sorted(self, tmp_path):
+        doc = {"b": [1, 2], "a": {"y": None, "x": 0.5}}
+        path = write_json(tmp_path / "doc.json", doc)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_failed_write_keeps_the_earlier_file_and_no_temp_file(self, tmp_path):
+        path = write_json(tmp_path / "doc.json", {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 2, "b": object()})  # "a" is written before "b" fails
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]

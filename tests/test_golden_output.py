@@ -1,5 +1,5 @@
-"""Pinned end-to-end output of ``tagrec run --mode both --dump-ranklists``
-and of ``tagrec split``.
+"""Pinned end-to-end output of ``tagrec run --mode both --dump-ranklists``,
+``tagrec sweep`` and ``tagrec split``.
 
 The CLI runs in two child processes with different ``PYTHONHASHSEED`` values
 on a small seeded corpus. Both ranklist dumps, and ``combined.json`` without
@@ -7,6 +7,10 @@ its ``timing`` section, must hash to the digests pinned below. The pins were
 taken from the reference implementation before the scoring kernel and the
 clustering pass were rewritten, so any change to a score's float bits, to a
 tie order or to a cluster assignment shows up here.
+
+The ``<mode>.report.txt`` pins, and the ``sweep.json`` pin (without its
+``timing`` section), were taken before the two per-mode run bodies were
+folded into one and the report writers were made atomic.
 
 The ``split`` pins were taken from the string-level corpus code (every
 filter and split re-interned ``Interaction`` records) before the corpus was
@@ -46,6 +50,17 @@ PINNED = {
     "fcum.ranklists.tsv": "b7aefccfbe1e8eeab8ffb6a9907a033837747586c3115f70143f585a193f95f7",
     "combined.json": "0ce081c1b331b82ac89b34f37b72d5f15ebc4d801413b3a260bd9235c5e4ec2f",
 }
+REPORT_PINNED = {
+    "ucf.report.txt": "d9c936f2ae577e83afd369647b378cf23652220c4979e9fcfa236687f62be1cd",
+    "fcum.report.txt": "a4a4198d28eab2a3121532c8c1c14908308f32347b86cc0a7ba7cff00b7f55b1",
+}
+# ``--mode fcum``: with both modes each run's ``ratios`` would carry the time ratio
+SWEEP_ARGS = [
+    "sweep", "--input", "corpus.tsv", "--output", "out", "--mode", "fcum",
+    "--degree-threshold", "2", "--avg-cluster-size", "20", "--k-list", "1..20",
+    "--param", "iterations", "--values", "1,2",
+]
+SWEEP_PINNED = "608a91a6990f414efbfb016a98eb27dbe6d0bbabcf8faf23c3fd804aae17e1ef"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SPLIT_THRESHOLD = {"triples": "2", "neighbors": "3"}
@@ -96,14 +111,20 @@ def split_corpus_lines() -> list[str]:
     return [line + "\n" for line in lines]
 
 
+def _file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _untimed_digest(path: Path) -> str:
+    """Digest of a JSON report without its ``timing`` section."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.pop("timing")
+    return hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _digests(directory: Path) -> dict[str, str]:
-    out = {}
-    for name in ("ucf.ranklists.tsv", "fcum.ranklists.tsv"):
-        out[name] = hashlib.sha256((directory / name).read_bytes()).hexdigest()
-    combined = json.loads((directory / "combined.json").read_text(encoding="utf-8"))
-    combined.pop("timing")
-    canonical = json.dumps(combined, indent=2, sort_keys=True).encode("utf-8")
-    out["combined.json"] = hashlib.sha256(canonical).hexdigest()
+    out = {name: _file_digest(directory / name) for name in ("ucf.ranklists.tsv", "fcum.ranklists.tsv")}
+    out["combined.json"] = _untimed_digest(directory / "combined.json")
     return out
 
 
@@ -122,6 +143,14 @@ def test_run_output_matches_pinned_digests(tmp_path, hash_seed):
     generate_synthetic(SPEC, tmp_path / "corpus.tsv")
     _run_cli(tmp_path, hash_seed, RUN_ARGS)
     assert _digests(tmp_path / "out") == PINNED
+    assert {name: _file_digest(tmp_path / "out" / name) for name in REPORT_PINNED} == REPORT_PINNED
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_sweep_output_matches_pinned_digest(tmp_path, hash_seed):
+    generate_synthetic(SPEC, tmp_path / "corpus.tsv")
+    _run_cli(tmp_path, hash_seed, SWEEP_ARGS)
+    assert _untimed_digest(tmp_path / "out" / "sweep.json") == SWEEP_PINNED
 
 
 @pytest.mark.parametrize("degree_mode", sorted(SPLIT_PINNED))
@@ -131,8 +160,7 @@ def test_split_output_matches_pinned_digests(tmp_path, hash_seed, degree_mode):
     _run_cli(tmp_path, hash_seed, ["split", "--input", "corpus.tsv", "--output", "out",
                                    "--degree-threshold", SPLIT_THRESHOLD[degree_mode],
                                    "--degree-mode", degree_mode])
-    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-               for name in SPLIT_PINNED[degree_mode]}
+    digests = {name: _file_digest(tmp_path / "out" / name) for name in SPLIT_PINNED[degree_mode]}
     assert digests == SPLIT_PINNED[degree_mode]
 
 

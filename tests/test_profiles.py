@@ -1,20 +1,11 @@
-import math
 import random
 
 import pytest
 
 from tagrec.corpus import build_graph
-from tagrec.profiles import (
-    FeatureWeights,
-    UserProfile,
-    build_profiles,
-    cosine,
-    multi_feature_similarity,
-    user_similarity,
-)
+from tagrec.profiles import UserProfile, build_profiles, cosine, user_similarity
 
 from conftest import make_graph
-from oracles import random_graph
 
 
 def profile(items, tags):
@@ -50,19 +41,6 @@ class TestCosine:
 
     def test_zero_vectors(self):
         assert cosine(frozenset(), {1}) == 0.0
-        assert cosine({}, {1: 1.0}) == 0.0
-
-    def test_weighted_vectors(self):
-        a = {0: 1.0, 1: 2.0}
-        b = {1: 2.0, 2: 1.0}
-        expected = 4.0 / math.sqrt(5.0 * 5.0)
-        assert cosine(a, b) == pytest.approx(expected)
-
-    def test_set_against_weighted(self):
-        s = {0, 1}
-        v = {0: 1.0, 2: 0.5}
-        assert cosine(s, v) == pytest.approx(1.0 / math.sqrt(2 * 1.25))
-        assert cosine(v, s) == cosine(s, v)
 
 
 class TestUserSimilarity:
@@ -107,72 +85,3 @@ class TestUserSimilarity:
             assert 0.0 <= forward <= 1.0
             assert user_similarity(u, u, beta) == 1.0
 
-
-class TestFeatureWeights:
-    def test_default_pairs_with_beta(self):
-        w = FeatureWeights(beta=0.3)
-        assert w.generalized == (("items", 0.3), ("tags", 0.7))
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            FeatureWeights(beta=1.5)
-        with pytest.raises(ValueError):
-            FeatureWeights(generalized=[("a", 0.5), ("b", 0.6)])
-        with pytest.raises(ValueError):
-            FeatureWeights(generalized=[("a", -0.1), ("b", 1.1)])
-
-    def test_weight_sum_tolerance(self):
-        FeatureWeights(generalized=[("a", 1 / 3), ("b", 1 / 3), ("c", 1 / 3)])
-
-
-class TestMultiFeatureSimilarity:
-    def test_two_features_match_user_similarity_bitwise(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            u = profile(
-                {rng.randrange(20) for _ in range(rng.randint(1, 8))},
-                {rng.randrange(10) for _ in range(rng.randint(1, 5))},
-            )
-            v = profile(
-                {rng.randrange(20) for _ in range(rng.randint(1, 8))},
-                {rng.randrange(10) for _ in range(rng.randint(1, 5))},
-            )
-            beta = rng.random()
-            combined = multi_feature_similarity(
-                [u.item_set, u.tag_set], [v.item_set, v.tag_set], FeatureWeights(beta=beta)
-            )
-            assert combined == user_similarity(u, v, beta)
-
-    def test_single_feature_is_plain_cosine(self):
-        w = FeatureWeights(generalized=[("only", 1.0)])
-        assert multi_feature_similarity([{1, 2}], [{1, 3}], w) == cosine({1, 2}, {1, 3})
-
-    def test_three_feature_hand_value(self):
-        w = FeatureWeights(generalized=[("a", 0.2), ("b", 0.3), ("c", 0.5)])
-        fu = [{1}, {1}, {1, 2, 3, 4, 5}]
-        fv = [{1}, {2}, {1, 2, 6, 7, 8}]
-        # per-feature cosines 1, 0, 0.4 -> 0.2 + 0 + 0.2
-        assert cosine(fu[2], fv[2]) == pytest.approx(0.4)
-        assert multi_feature_similarity(fu, fv, w) == pytest.approx(0.4)
-
-    def test_length_mismatch(self):
-        w = FeatureWeights(beta=0.5)
-        with pytest.raises(ValueError):
-            multi_feature_similarity([{1}], [{1}, {2}], w)
-        with pytest.raises(ValueError):
-            multi_feature_similarity([{1}, {2}, {3}], [{1}, {2}, {3}], w)
-
-    def test_range_on_random_graphs(self):
-        rng = random.Random(21)
-        for _ in range(20):
-            g = random_graph(rng, max_users=8)
-            profs = build_profiles(g)
-            w = FeatureWeights(beta=rng.random())
-            for u in profs:
-                for v in profs:
-                    s = multi_feature_similarity(
-                        [profs[u].item_set, profs[u].tag_set],
-                        [profs[v].item_set, profs[v].tag_set],
-                        w,
-                    )
-                    assert 0.0 <= s <= 1.0

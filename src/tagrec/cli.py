@@ -184,15 +184,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = SyntheticSpec(
-        n_users=args.users,
-        n_items=args.items,
-        n_tags=args.tags,
-        n_communities=args.communities,
-        triples_per_user=args.triples_per_user,
-        in_community_prob=args.in_community_prob,
-        seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticSpec)
+             if getattr(args, f.name) is not None}
+    spec = SyntheticSpec(**given)
     path = generate_synthetic(spec, args.output)
     print(f"wrote {path} ({spec.n_users * spec.triples_per_user} records)")
     return 0
@@ -248,13 +242,13 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic planted-community corpus")
     p_gen.add_argument("--output", required=True)
-    p_gen.add_argument("--users", type=int, default=1600)
-    p_gen.add_argument("--items", type=int, default=20000)
-    p_gen.add_argument("--tags", type=int, default=5000)
-    p_gen.add_argument("--communities", type=int, default=16)
-    p_gen.add_argument("--triples-per-user", type=int, default=120)
-    p_gen.add_argument("--in-community-prob", type=float, default=0.85)
-    p_gen.add_argument("--seed", type=int, default=42)
+    p_gen.add_argument("--users", type=int, dest="n_users")
+    p_gen.add_argument("--items", type=int, dest="n_items")
+    p_gen.add_argument("--tags", type=int, dest="n_tags")
+    p_gen.add_argument("--communities", type=int, dest="n_communities")
+    p_gen.add_argument("--triples-per-user", type=int)
+    p_gen.add_argument("--in-community-prob", type=float)
+    p_gen.add_argument("--seed", type=int)
     p_gen.set_defaults(func=_cmd_gen)
 
     for name, handler, out_help in (

@@ -7,18 +7,19 @@ reassign every user to the cluster whose centroid is most similar. Users end
 up partitioned into non-overlapping clusters; each cluster's item pool is the
 union of its members' item sets, so item pools may overlap across clusters.
 
-The rounds work on exact integer counts. A cluster is kept as its
-per-index member counts c and their sum of squares; its centroid is c/n, so
-the cosine of a binary profile u with it is d / sqrt(|u| * sum(c^2)), where
-d is the sum of c over u's indices. One pass over the posting lists of u's
-items and tags, relabelled with each holder's cluster, gives d for every
-cluster at once; after a round only the users that moved update the d of
-the users they share an index with. Integer sums are exact on every Python
-version, and no float centroid is built per round. Clusters whose cosines tie, exactly or
-within 1e-9, are compared with ``user_centroid_similarity`` on float
-centroids, which defines the assignment, so the result is the one float
-centroids give, bit for bit. Float ``Centroid`` objects are otherwise built
-only for the final partition, for output and inspection.
+The rounds work on exact integer counts. A cluster's centroid is c/n, where
+c holds its per-index member counts, so the cosine of a binary profile u
+with it is d / sqrt(|u| * sum(c^2)), where d is the sum of c over u's
+indices. One pass over the posting lists of u's items and tags, relabelled
+with each holder's cluster, gives d for every cluster at once, and sum(c^2)
+is the sum of d over the cluster's members, so a round needs nothing but
+these dots; after a round only the users that moved update the d of the
+users they share an index with. Integer sums are exact on every Python
+version, and no float centroid is built per round. Clusters whose cosines
+tie, exactly or within 1e-9, are compared with ``user_centroid_similarity``
+on float centroids, which defines the assignment, so the result is the one
+float centroids give, bit for bit. Float ``Centroid`` objects are otherwise
+built only for the final partition, for output and the item pools.
 """
 
 import math
@@ -98,20 +99,14 @@ def init_assignment(users, k: int, seed: int) -> dict[int, int]:
     return {u: i % k for i, u in enumerate(order)}
 
 
-def _member_counts(members, profiles) -> tuple[Counter, Counter]:
-    """How many of ``members`` hold each item, and each tag."""
-    item_counts = Counter(chain.from_iterable(profiles[u].items_sorted for u in members))
-    tag_counts = Counter(chain.from_iterable(profiles[u].tags_sorted for u in members))
-    return item_counts, tag_counts
-
-
 def compute_centroid(cluster, profiles) -> Centroid | None:
     """Sparse mean of the members' binary vectors; None for an empty cluster."""
     members = list(cluster)
     if not members:
         return None
     n = len(members)
-    item_counts, tag_counts = _member_counts(members, profiles)
+    item_counts = Counter(chain.from_iterable(profiles[u].items_sorted for u in members))
+    tag_counts = Counter(chain.from_iterable(profiles[u].tags_sorted for u in members))
     item_part = {i: item_counts[i] / n for i in sorted(item_counts)}
     tag_part = {t: tag_counts[t] / n for t in sorted(tag_counts)}
     return Centroid(item_part, tag_part)
@@ -128,31 +123,22 @@ def user_centroid_similarity(profile: UserProfile, centroid: Centroid | None, ga
     if centroid is None:
         return -1.0
 
-    denom_sq = len(profile.item_set) * centroid.item_norm_sq
-    if denom_sq == 0.0:
-        cos_items = 0.0
-    else:
-        dot = 0.0
-        part = centroid.item_part
-        for i in profile.items_sorted:
-            w = part.get(i)
-            if w is not None:
-                dot += w
-        cos_items = dot / math.sqrt(denom_sq)
-
-    denom_sq = len(profile.tag_set) * centroid.tag_norm_sq
-    if denom_sq == 0.0:
-        cos_tags = 0.0
-    else:
-        dot = 0.0
-        part = centroid.tag_part
-        for t in profile.tags_sorted:
-            w = part.get(t)
-            if w is not None:
-                dot += w
-        cos_tags = dot / math.sqrt(denom_sq)
-
+    cos_items = _part_cosine(profile.items_sorted, centroid.item_part, centroid.item_norm_sq)
+    cos_tags = _part_cosine(profile.tags_sorted, centroid.tag_part, centroid.tag_norm_sq)
     return gamma * cos_items + (1.0 - gamma) * cos_tags
+
+
+def _part_cosine(indices, part: dict[int, float], norm_sq: float) -> float:
+    """Cosine of the binary vector over ``indices`` with one part of a centroid."""
+    denom_sq = len(indices) * norm_sq
+    if denom_sq == 0.0:
+        return 0.0
+    dot = 0.0
+    for i in indices:
+        w = part.get(i)
+        if w is not None:
+            dot += w
+    return dot / math.sqrt(denom_sq)
 
 
 @dataclass(frozen=True)
@@ -215,12 +201,12 @@ _NEAR_TIE = 1e-9
 def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed: int) -> Clustering:
     """Run the fixed-round clustering pass over all training users.
 
-    Each round counts every cluster's items and tags from the current
-    assignment, then reassigns each user to the cluster with the highest
-    user-centroid similarity (ties go to the lowest cluster index). There is
-    no convergence check; the point is a cheap coarse partition, not a
-    converged one. Empty clusters persist, never attract a user and are
-    never re-seeded.
+    Each round takes every cluster's centroid from the current assignment,
+    then reassigns each user to the cluster that maximises the float
+    ``user_centroid_similarity``; only exactly equal floats go to the lowest
+    cluster index. There is no convergence check; the point is a cheap
+    coarse partition, not a converged one. Empty clusters persist, never
+    attract a user and are never re-seeded.
 
     The user-cluster dot products are counted once from the initial
     assignment; after each round only the users that moved update them.
@@ -243,13 +229,13 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
     ops = 0
 
     for round_ in range(iterations):
-        live = []  # (cluster index, sum of squared item counts, of squared tag counts)
+        # a cluster's sum of squared counts is the sum of its members' dots with it
+        item_sq, tag_sq = [0] * k, [0] * k
+        for u, j in enumerate(assignment):
+            item_sq[j] += item_dots[u][j]
+            tag_sq[j] += tag_dots[u][j]
         clusters = _group(assignment, k)
-        for j, members in enumerate(clusters):
-            if members:
-                item_counts, tag_counts = _member_counts(members, profiles)
-                live.append((j, sum(c * c for c in item_counts.values()),
-                             sum(c * c for c in tag_counts.values())))
+        live = [(j, item_sq[j], tag_sq[j]) for j, members in enumerate(clusters) if members]
         # counting touches every profile once; each user is then compared
         # coordinate by coordinate with every non-empty cluster
         ops += profile_sizes * (1 + len(live))
@@ -283,10 +269,8 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
 
     clusters = _group(assignment, k)
     final_centroids = tuple(compute_centroid(members, profiles) for members in clusters)
-    item_clusters = tuple(
-        tuple(sorted(set().union(*(profiles[u].item_set for u in members)))) if members else ()
-        for members in clusters
-    )
+    # a centroid's item keys are ascending, so they are the sorted item pool
+    item_clusters = tuple(tuple(c.item_part) if c is not None else () for c in final_centroids)
     return Clustering(
         k=k,
         assignment=tuple(assignment),
@@ -300,10 +284,7 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
 
 def cluster_tag_count(clustering: Clustering, train, j: int) -> int:
     """Number of distinct tags used by cluster ``j``'s members."""
-    members = clustering.user_clusters[j]
-    if not members:
-        return 0
-    return len(set().union(*(train.user_tags[u] for u in members)))
+    return len(set(chain.from_iterable(map(train.user_tags.__getitem__, clustering.user_clusters[j]))))
 
 
 def write_clustering(clustering: Clustering, train, path) -> None:

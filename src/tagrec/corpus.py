@@ -15,7 +15,7 @@ external string ids appear only where records are read or written.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, starmap
+from itertools import combinations, compress, starmap
 from operator import itemgetter, not_
 from pathlib import Path
 
@@ -267,61 +267,25 @@ def filter_by_degree(graph: TripartiteGraph, threshold: int, degree_mode: str = 
         raise ValueError("threshold must be non-negative")
     if degree_mode not in ("triples", "neighbors"):
         raise ValueError(f"unknown degree_mode {degree_mode!r}")
-    if threshold == 0 or graph.n_triples == 0:
-        return _remap(graph, graph.triples)[0]
-
-    # Users, items and tags share one node numbering. A node's degree is the
-    # number of live links that end at it, and a link lives while a live
-    # triple carries it: each triple is its own link to its three nodes, or
-    # in neighbors mode the links are the distinct node pairs.
-    item0 = graph.n_users
-    tag0 = item0 + graph.n_items
-    n_nodes = tag0 + graph.n_tags
-    nodes = [(u, item0 + r, tag0 + t) for u, r, t, _ in graph.triples]
-    if degree_mode == "triples":
-        def links_of(tid):
-            return (tid,)
-
-        ends_of = nodes.__getitem__
-        carriers = [1] * len(nodes)
-        degrees = Counter(chain.from_iterable(nodes))
-    else:
-        def links_of(tid):
-            u, r, t = nodes[tid]
-            return (u * n_nodes + r, u * n_nodes + t, r * n_nodes + t)
-
-        def ends_of(key):
-            return divmod(key, n_nodes)
-
-        carriers = Counter(chain.from_iterable(map(links_of, range(len(nodes)))))
-        degrees = Counter(chain.from_iterable(map(ends_of, carriers)))
-    deg = [degrees[x] for x in range(n_nodes)]
-
-    # Each round scans the live triples once and kills those that hold a
-    # removed node; nodes that fall under the threshold meanwhile are removed
-    # and their triples go in the next round. The nodes left form the
-    # largest set in which every degree reaches the threshold.
-    removed = [d < threshold for d in deg]
-    alive = [True] * len(nodes)
-    pending = any(removed)
-    while pending:
-        pending = False
-        dying = [
-            tid for tid, (u, r, t) in enumerate(nodes)
-            if alive[tid] and (removed[u] or removed[r] or removed[t])
-        ]
-        for tid in dying:
-            alive[tid] = False
-            for key in links_of(tid):
-                carriers[key] -= 1
-                if carriers[key]:
-                    continue
-                for y in ends_of(key):
-                    deg[y] -= 1
-                    if deg[y] < threshold and not removed[y]:
-                        removed[y] = True
-                        pending = True
-    return _remap(graph, compress(graph.triples, alive))[0]
+    # Removing triples only lowers degrees, so a node under the threshold stays
+    # under it whatever else goes: every removal order ends at the same
+    # largest set of triples in which each node's degree reaches the threshold.
+    live = graph.triples
+    while threshold and live:
+        columns = [list(map(itemgetter(c), live)) for c in range(3)]
+        if degree_mode == "triples":
+            degrees = [Counter(column) for column in columns]
+        else:
+            degrees = [Counter(), Counter(), Counter()]
+            for a, b in combinations(range(3), 2):
+                pairs = set(zip(columns[a], columns[b]))
+                degrees[a].update(map(itemgetter(0), pairs))
+                degrees[b].update(map(itemgetter(1), pairs))
+        low_u, low_r, low_t = ({x for x, d in deg.items() if d < threshold} for deg in degrees)
+        if not (low_u or low_r or low_t):
+            break
+        live = [q for q in live if not (q[0] in low_u or q[1] in low_r or q[2] in low_t)]
+    return _remap(graph, live)[0]
 
 
 @dataclass(frozen=True)

@@ -33,21 +33,29 @@ class MetricsAtK:
     f1: float
 
 
-def _hits(ranklist, test_set, k) -> int:
-    count = 0
-    for item, _ in ranklist.entries[:k]:
-        if item in test_set.items:
-            count += 1
-    return count
-
-
-def _check_inputs(ranklists, test_sets, k):
+def _hit_counts(ranklists, test_sets, k) -> list[tuple[int, int]]:
+    """Each user's (top-k hits, test set size), in ascending user order."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    for u in ranklists:
+    counts = []
+    for u in sorted(ranklists):
         ts = test_sets.get(u)
         if ts is None or len(ts) == 0:
             raise ValueError(f"user {u} has an empty or missing test set")
+        items = ts.items
+        counts.append((sum(1 for item, _ in ranklists[u].entries[:k] if item in items), len(ts)))
+    return counts
+
+
+def _recall(counts) -> float:
+    total = 0.0
+    for hits, size in counts:
+        total += hits / size
+    return total / len(counts)
+
+
+def _precision(counts, k) -> float:
+    return sum(hits for hits, _ in counts) / (len(counts) * k)
 
 
 def recall_at_k(ranklists, test_sets, k: int) -> float:
@@ -55,12 +63,7 @@ def recall_at_k(ranklists, test_sets, k: int) -> float:
 
     Users whose ranklist is shorter than k are scored on what they have.
     """
-    _check_inputs(ranklists, test_sets, k)
-    total = 0.0
-    users = sorted(ranklists)
-    for u in users:
-        total += _hits(ranklists[u], test_sets[u], k) / len(test_sets[u])
-    return total / len(users)
+    return _recall(_hit_counts(ranklists, test_sets, k))
 
 
 def precision_at_k(ranklists, test_sets, k: int) -> float:
@@ -68,11 +71,7 @@ def precision_at_k(ranklists, test_sets, k: int) -> float:
 
     The denominator stays k even when fewer than k items were recommendable.
     """
-    _check_inputs(ranklists, test_sets, k)
-    hits = 0
-    for u in ranklists:
-        hits += _hits(ranklists[u], test_sets[u], k)
-    return hits / (len(ranklists) * k)
+    return _precision(_hit_counts(ranklists, test_sets, k), k)
 
 
 def f1_at_k(precision: float, recall: float) -> float:
@@ -83,8 +82,9 @@ def f1_at_k(precision: float, recall: float) -> float:
 
 
 def metrics_at_k(ranklists, test_sets, k: int) -> MetricsAtK:
-    r = recall_at_k(ranklists, test_sets, k)
-    p = precision_at_k(ranklists, test_sets, k)
+    """Recall, precision and F1 at ``k`` from one count of each user's hits."""
+    counts = _hit_counts(ranklists, test_sets, k)
+    r, p = _recall(counts), _precision(counts, k)
     return MetricsAtK(k=k, recall=r, precision=p, f1=f1_at_k(p, r))
 
 

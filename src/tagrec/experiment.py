@@ -218,21 +218,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 write_ranklists(ranklists, split.train, path)
                 result.written.append(path)
         if ratios is not None:
-            docs, timing = _report_docs(reports)
-            combined = {
-                "config": cfg.echo(),
-                **docs,
-                "ratios": {k: v for k, v in ratios.items() if k != "total_seconds"},
-                "timing": dict(timing, total_seconds_ratio=ratios["total_seconds"]),
-            }
+            docs, timing = _result_docs(result)
+            combined = {"config": cfg.echo(), **docs, "timing": timing}
             result.written.append(write_json(directory / "combined.json", combined))
     return result
 
 
-def _report_docs(reports: dict[str, EvalReport]) -> tuple[dict, dict]:
-    """Each mode's ``report_dict`` without its timing, and the timings by mode."""
-    docs = {mode: report_dict(report) for mode, report in reports.items()}
-    return docs, {mode: doc.pop("timing") for mode, doc in docs.items()}
+def _result_docs(result: ExperimentResult) -> tuple[dict, dict]:
+    """A run's untimed documents and its timing, for ``combined.json`` and ``sweep.json``.
+
+    The first maps each mode to its ``report_dict`` without timing, plus
+    ``ratios`` when both modes ran; the second maps each mode to its timing,
+    plus the fcum/ucf ``total_seconds_ratio``, which is a timing too.
+    """
+    docs = {mode: report_dict(report) for mode, report in result.reports.items()}
+    timing = {mode: doc.pop("timing") for mode, doc in docs.items()}
+    if result.ratios is not None:
+        docs["ratios"] = {k: v for k, v in result.ratios.items() if k != "total_seconds"}
+        timing["total_seconds_ratio"] = result.ratios["total_seconds"]
+    return docs, timing
 
 
 def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
@@ -258,8 +262,7 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
         directory.mkdir(parents=True, exist_ok=True)
         runs, timing = {}, {}
         for value, result in zip(values, results):
-            docs, timing[str(value)] = _report_docs(result.reports)
-            runs[str(value)] = docs | ({"ratios": result.ratios} if result.ratios else {})
+            runs[str(value)], timing[str(value)] = _result_docs(result)
         doc = {
             "param": param,
             "values": [_json_value(v) for v in values],

@@ -168,6 +168,13 @@ class TestGenCommand:
         assert a.read_bytes() == b.read_bytes()
         assert len(read_triples(a)) == 200
 
+    def test_omitted_flags_are_the_spec_defaults(self, tmp_path):
+        out = tmp_path / "gen.tsv"
+        assert main(["gen", "--output", str(out), "--users", "20", "--items", "80", "--tags", "30",
+                     "--communities", "2", "--triples-per-user", "10"]) == 0
+        spec = SyntheticSpec(n_users=20, n_items=80, n_tags=30, n_communities=2, triples_per_user=10)
+        assert out.read_bytes() == generate_synthetic(spec, tmp_path / "spec.tsv").read_bytes()
+
     def test_gen_validation_error(self, tmp_path):
         code = main(["gen", "--output", str(tmp_path / "x.tsv"), "--communities", "0"])
         assert code == 1

@@ -1,5 +1,5 @@
 """Pinned end-to-end output of ``tagrec run --mode both --dump-ranklists``,
-``tagrec sweep`` and ``tagrec split``.
+``tagrec sweep``, ``tagrec cluster`` and ``tagrec split``.
 
 The CLI runs in two child processes with different ``PYTHONHASHSEED`` values
 on a small seeded corpus. Both ranklist dumps, and ``combined.json`` without
@@ -11,6 +11,10 @@ tie order or to a cluster assignment shows up here.
 The ``<mode>.report.txt`` pins, and the ``sweep.json`` pin (without its
 ``timing`` section), were taken before the two per-mode run bodies were
 folded into one and the report writers were made atomic.
+
+The ``cluster`` pin (the ``user<TAB>cluster`` dump) was taken before each
+clustering round came to read its cluster norms from the user-cluster dot
+table and the item pools came to be read off the final centroids.
 
 The ``split`` pins were taken from the string-level corpus code (every
 filter and split re-interned ``Interaction`` records) before the corpus was
@@ -54,13 +58,18 @@ REPORT_PINNED = {
     "ucf.report.txt": "d9c936f2ae577e83afd369647b378cf23652220c4979e9fcfa236687f62be1cd",
     "fcum.report.txt": "a4a4198d28eab2a3121532c8c1c14908308f32347b86cc0a7ba7cff00b7f55b1",
 }
-# ``--mode fcum``: with both modes each run's ``ratios`` would carry the time ratio
+# pinned with ``--mode fcum``; a ``--mode both`` sweep is checked run against run below
 SWEEP_ARGS = [
     "sweep", "--input", "corpus.tsv", "--output", "out", "--mode", "fcum",
     "--degree-threshold", "2", "--avg-cluster-size", "20", "--k-list", "1..20",
     "--param", "iterations", "--values", "1,2",
 ]
 SWEEP_PINNED = "608a91a6990f414efbfb016a98eb27dbe6d0bbabcf8faf23c3fd804aae17e1ef"
+CLUSTER_ARGS = [
+    "cluster", "--input", "corpus.tsv", "--output", "clusters.tsv",
+    "--degree-threshold", "2", "--avg-cluster-size", "20", "--iterations", "3",
+]
+CLUSTER_PINNED = "6c555200d7bcbe774f161d62c7bc89265d3ca8cb2652f5260fd8adb619c3b695"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SPLIT_THRESHOLD = {"triples": "2", "neighbors": "3"}
@@ -151,6 +160,26 @@ def test_sweep_output_matches_pinned_digest(tmp_path, hash_seed):
     generate_synthetic(SPEC, tmp_path / "corpus.tsv")
     _run_cli(tmp_path, hash_seed, SWEEP_ARGS)
     assert _untimed_digest(tmp_path / "out" / "sweep.json") == SWEEP_PINNED
+
+
+def test_sweep_of_both_modes_is_identical_without_timing(tmp_path):
+    args = ["both" if arg == "fcum" else arg for arg in SWEEP_ARGS]
+    docs = []
+    for workdir, hash_seed in ((tmp_path / "a", "0"), (tmp_path / "b", "4242")):
+        workdir.mkdir()
+        generate_synthetic(SPEC, workdir / "corpus.tsv")
+        _run_cli(workdir, hash_seed, args)
+        docs.append(json.loads((workdir / "out" / "sweep.json").read_text(encoding="utf-8")))
+    timings = [doc.pop("timing") for doc in docs]
+    assert docs[0] == docs[1]
+    assert set(timings[0]["1"]) == {"ucf", "fcum", "total_seconds_ratio"}
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_cluster_output_matches_pinned_digest(tmp_path, hash_seed):
+    generate_synthetic(SPEC, tmp_path / "corpus.tsv")
+    _run_cli(tmp_path, hash_seed, CLUSTER_ARGS)
+    assert _file_digest(tmp_path / "clusters.tsv") == CLUSTER_PINNED
 
 
 @pytest.mark.parametrize("degree_mode", sorted(SPLIT_PINNED))

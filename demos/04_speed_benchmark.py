@@ -36,9 +36,8 @@ def main():
             avg_cluster_size=90 if full else 50,
             iterations=2,
             k_list=(5, 10, 20),
-            timing_runs=3,
         )
-        print("== running both recommenders on one shared split (median of 3 timings)")
+        print("== running both recommenders on one shared split (one timed run each)")
         result = run_experiment(cfg)
 
     ucf, fcum = result.reports["ucf"], result.reports["fcum"]

@@ -34,7 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_k_list(text: str) -> tuple[int, ...]:
+def k_list(text: str) -> tuple[int, ...]:
+    """A comma list or ``lo..hi`` range of ks; argparse names the function in its error message."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
@@ -54,12 +55,9 @@ def _add_experiment_flags(parser):
     parser.add_argument("--gamma", type=float)
     parser.add_argument("--avg-cluster-size", type=int)
     parser.add_argument("--iterations", type=int)
-    parser.add_argument("--k-list", help="comma list or lo..hi range (default 1..20)")
+    parser.add_argument("--k-list", type=k_list, help="comma list or lo..hi range (default 1..20)")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--output", help="directory for report files")
-    parser.add_argument("--degree-mode", choices=["triples", "neighbors"])
-    parser.add_argument("--timing-runs", type=int,
-                        help="timed repetitions per algorithm; the median is reported")
     parser.add_argument("--dump-ranklists", action="store_true", default=None,
                         help="also write per-user ranklists to the output dir")
     parser.add_argument("--config", help="key=value file supplying defaults for the flags above")
@@ -94,7 +92,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-_PARSE_BY_TYPE = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: _parse_k_list}
+_PARSE_BY_TYPE = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: k_list}
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -109,7 +107,7 @@ def _build_config(args) -> ExperimentConfig:
     for key in _FIELD_TYPES:
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = _parse_k_list(value) if key == "k_list" else value
+            merged[key] = value
     if "input" not in merged:
         raise ValueError("--input is required (flag or config file)")
     return ExperimentConfig(**merged)
@@ -184,6 +182,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_output(args.output, directory=False)
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticSpec)
              if getattr(args, f.name) is not None}
     spec = SyntheticSpec(**given)
@@ -259,7 +258,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--input", required=True)
         p.add_argument("--output", required=True, help=out_help)
         p.add_argument("--degree-threshold", type=int)
-        p.add_argument("--degree-mode", choices=["triples", "neighbors"])
         p.add_argument("--split-ratio", type=float)
         if name == "cluster":
             p.add_argument("--gamma", type=float)

@@ -27,8 +27,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
+from .corpus import _atomic_open
 from .profiles import UserProfile, posting_lists
 
 __all__ = [
@@ -289,7 +289,6 @@ def cluster_tag_count(clustering: Clustering, train, j: int) -> int:
 
 def write_clustering(clustering: Clustering, train, path) -> None:
     """Dump ``user_external_id<TAB>cluster_index`` lines for inspection/diffing."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         for u, j in enumerate(clustering.assignment):
             fh.write(f"{train.users.id_of(u)}\t{j}\n")

@@ -12,10 +12,12 @@ interning the surviving records afresh. ``Interaction`` records with
 external string ids appear only where records are read or written.
 """
 
+import contextlib
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress, starmap
+from itertools import compress, starmap
 from operator import itemgetter, not_
 from pathlib import Path
 
@@ -196,9 +198,27 @@ def read_graph(path) -> TripartiteGraph:
     return _read(path, lambda fh: _intern(_records(fh)))
 
 
-def write_triples(interactions, path) -> None:
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text file that replaces ``path`` once the block ends without error.
+
+    Every file the package writes goes through here: it is written to a temp
+    file in the same directory, then renamed over its target, so a failed
+    write leaves the earlier file in place and no partial file behind.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_triples(interactions, path) -> None:
+    with _atomic_open(path) as fh:
         for rec in interactions:
             fh.write(f"{rec.user}\t{rec.item}\t{rec.tag}\t{rec.timestamp}\n")
 
@@ -253,34 +273,24 @@ def _remap(graph: TripartiteGraph, quads):
     return _with_projections(*tables, triples), new_u, new_r
 
 
-def filter_by_degree(graph: TripartiteGraph, threshold: int, degree_mode: str = "triples") -> TripartiteGraph:
-    """Iteratively drop users/items/tags whose degree falls below ``threshold``.
+def filter_by_degree(graph: TripartiteGraph, threshold: int) -> TripartiteGraph:
+    """Iteratively drop users/items/tags in fewer than ``threshold`` triples.
 
-    Degree is the number of surviving triples containing the node (the
-    default ``degree_mode="triples"``) or the number of distinct surviving
-    neighbor nodes (``degree_mode="neighbors"``). Removing a node removes all
-    its triples, which may push other nodes under the threshold; pruning
-    repeats until no node is below it. Survivors are renumbered compactly in
-    first-appearance order, so the result may be the empty graph.
+    A node's degree is the number of surviving triples containing it.
+    Removing a node removes all its triples, which may push other nodes under
+    the threshold; pruning repeats until no node is below it. Survivors are
+    renumbered compactly in first-appearance order, so the result may be the
+    empty graph.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    if degree_mode not in ("triples", "neighbors"):
-        raise ValueError(f"unknown degree_mode {degree_mode!r}")
     # Removing triples only lowers degrees, so a node under the threshold stays
     # under it whatever else goes: every removal order ends at the same
     # largest set of triples in which each node's degree reaches the threshold.
     live = graph.triples
     while threshold and live:
         columns = [list(map(itemgetter(c), live)) for c in range(3)]
-        if degree_mode == "triples":
-            degrees = [Counter(column) for column in columns]
-        else:
-            degrees = [Counter(), Counter(), Counter()]
-            for a, b in combinations(range(3), 2):
-                pairs = set(zip(columns[a], columns[b]))
-                degrees[a].update(map(itemgetter(0), pairs))
-                degrees[b].update(map(itemgetter(1), pairs))
+        degrees = [Counter(column) for column in columns]
         low_u, low_r, low_t = ({x for x, d in deg.items() if d < threshold} for deg in degrees)
         if not (low_u or low_r or low_t):
             break
@@ -400,7 +410,6 @@ def split_summary(graph: TripartiteGraph, split: SplitCorpus) -> dict:
 
 
 def write_summary(summary: dict, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         for key, value in summary.items():
             fh.write(f"{key}={value}\n")

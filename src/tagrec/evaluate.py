@@ -1,15 +1,10 @@
-"""Recall/precision/F1 at k, the report types and the report writers.
+"""Recall/precision/F1 at k, the report types and the report writers."""
 
-Every report file is written atomically: to a temp file in the same
-directory, then renamed over its target, so a failed write leaves the
-earlier file in place and no partial file behind.
-"""
-
-import contextlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .corpus import _atomic_open
 
 __all__ = [
     "MetricsAtK",
@@ -124,19 +119,6 @@ def report_dict(report: EvalReport) -> dict:
         "work": report.work,
         "timing": {key: round(value, 3) for key, value in report.timing.items()},
     }
-
-
-@contextlib.contextmanager
-def _atomic_open(path: Path):
-    """A text file that replaces ``path`` once the block ends without error."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def write_json(path, doc) -> Path:

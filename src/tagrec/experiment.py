@@ -7,7 +7,6 @@ comparable; the combined report then also carries their ratios.
 """
 
 import dataclasses
-import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,8 +46,6 @@ class ExperimentConfig:
     k_list: tuple[int, ...] = tuple(range(1, 21))
     seed: int = 42
     output: str | None = None
-    degree_mode: str = "triples"
-    timing_runs: int = 1
     dump_ranklists: bool = False
 
     def __post_init__(self):
@@ -61,8 +58,8 @@ class ExperimentConfig:
         for name in ("beta", "gamma"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.avg_cluster_size < 1 or self.iterations < 1 or self.timing_runs < 1:
-            raise ValueError("avg_cluster_size, iterations and timing_runs must be positive")
+        if self.avg_cluster_size < 1 or self.iterations < 1:
+            raise ValueError("avg_cluster_size and iterations must be positive")
         ks = tuple(sorted(set(int(k) for k in self.k_list)))
         if not ks or ks[0] < 1:
             raise ValueError("k_list must contain positive integers")
@@ -102,7 +99,7 @@ def fcum_scored_work(clustering, train) -> int:
 
 
 def _run_mode(mode, split, profiles, cfg, kmax):
-    """Time ``cfg.timing_runs`` runs of one mode; keep the first run's ranklists.
+    """Time one run of one mode and evaluate its ranklists.
 
     ``fcum`` clusters the users and then ranks within each cluster, and its
     report carries the clustering's work counters; ``ucf`` ranks every user
@@ -111,22 +108,15 @@ def _run_mode(mode, split, profiles, cfg, kmax):
     """
     train = split.train
     k_clusters = choose_k(train.n_users, cfg.avg_cluster_size) if mode == "fcum" else None
-    samples = []
-    for i in range(cfg.timing_runs):
-        start = mid = time.perf_counter()
-        if mode == "fcum":
-            clust = coarse_cluster(train, profiles, k_clusters, cfg.iterations, cfg.gamma, cfg.seed)
-            mid = time.perf_counter()
-            result = rank_fcum(clust, train, profiles, cfg.beta, kmax)
-        else:
-            clust, result = None, rank_ucf(train, profiles, cfg.beta, kmax)
-        end = time.perf_counter()
-        samples.append((mid - start, end - mid, end - start))
-        if i == 0:
-            clustering, ranklists = clust, result
-    timing = dict(zip(("cluster_seconds", "score_seconds", "total_seconds"),
-                      map(statistics.median, zip(*samples))))
-    timing["timing_runs"] = cfg.timing_runs
+    start = mid = time.perf_counter()
+    if mode == "fcum":
+        clustering = coarse_cluster(train, profiles, k_clusters, cfg.iterations, cfg.gamma, cfg.seed)
+        mid = time.perf_counter()
+        ranklists = rank_fcum(clustering, train, profiles, cfg.beta, kmax)
+    else:
+        clustering, ranklists = None, rank_ucf(train, profiles, cfg.beta, kmax)
+    end = time.perf_counter()
+    timing = {"cluster_seconds": mid - start, "score_seconds": end - mid, "total_seconds": end - start}
     work = {
         "users": train.n_users,
         "items": train.n_items,
@@ -174,7 +164,7 @@ def _ratios(reports, k_list) -> dict:
 def split_corpus(cfg: ExperimentConfig):
     """Parse, filter and split the corpus; return ``(filtered, split)``."""
     graph = read_graph(cfg.input)
-    filtered = filter_by_degree(graph, cfg.degree_threshold, cfg.degree_mode)
+    filtered = filter_by_degree(graph, cfg.degree_threshold)
     if filtered.n_triples == 0:
         raise DataError(
             f"degree threshold {cfg.degree_threshold} removed every triple; try a lower --degree-threshold"
@@ -242,20 +232,21 @@ def _result_docs(result: ExperimentResult) -> tuple[dict, dict]:
 def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
     """Re-run the experiment once per value of one swept parameter.
 
-    Everything else, including the seed, stays fixed. Individual runs do not
-    write files; when ``cfg.output`` is set a combined sweep report keyed by
-    value is written instead.
+    Everything else, including the seed, stays fixed. Every value is checked
+    before the first run. Individual runs do not write files; when
+    ``cfg.output`` is set a combined sweep report keyed by value is written
+    instead.
     """
     if param not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
+    if len(set(values)) < len(values):
+        raise ValueError(f"sweep values must be distinct, got {values}")
+    run_cfgs = [dataclasses.replace(cfg, **{param: value, "output": None}) for value in values]
 
-    results = []
-    for value in values:
-        run_cfg = dataclasses.replace(cfg, **{param: value, "output": None})
-        results.append(run_experiment(run_cfg))
+    results = [run_experiment(run_cfg) for run_cfg in run_cfgs]
 
     if cfg.output is not None:
         directory = Path(cfg.output)

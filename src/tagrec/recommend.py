@@ -30,9 +30,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import eq, le, lt
-from pathlib import Path
 
 from .clustering import Clustering
+from .corpus import _atomic_open
 from .profiles import posting_lists, user_similarity
 
 __all__ = ["RankList", "score", "rank_ucf", "rank_fcum", "write_ranklists"]
@@ -66,11 +66,10 @@ def score(target: int, item: int, neighbors, profiles, beta: float) -> float:
     return total
 
 
-def _top_positions(scores: list[float], k: int, drop_zero_scores: bool) -> list[int]:
+def _top_positions(scores: list[float], k: int) -> list[int]:
     """The k best positions of ``scores``, by descending score, ties by position.
 
-    Negative scores are never chosen, zero scores only after every positive
-    one and not at all with ``drop_zero_scores``.
+    Negative scores are never chosen, zero scores only after every positive one.
     """
     # the k-th best of every 8th score bounds the k-th best from below, so a
     # C-level pass can drop every position under it before the stable nlargest
@@ -81,13 +80,13 @@ def _top_positions(scores: list[float], k: int, drop_zero_scores: bool) -> list[
     else:
         kept = map(lt, repeat(0.0), scores)
     top = heapq.nlargest(k, compress(range(len(scores)), kept), key=scores.__getitem__)
-    if len(top) < k and not drop_zero_scores:
+    if len(top) < k:
         zeros = compress(range(len(scores)), map(eq, repeat(0.0), scores))
         top.extend(islice(zeros, k - len(top)))
     return top
 
 
-def _rank_groups(groups, profiles, beta: float, k: int, drop_zero_scores: bool) -> dict[int, RankList]:
+def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
     """Rank each group's item pool against each of its members.
 
     ``groups`` yields (members, pool) pairs; a pool is in ascending item
@@ -122,36 +121,34 @@ def _rank_groups(groups, profiles, beta: float, k: int, drop_zero_scores: bool) 
                     scores[x] += sim
             for x in held[u]:
                 scores[x] = -1.0  # the sentinel of score(): trained items are no candidates
-            top = _top_positions(scores, k, drop_zero_scores)
+            top = _top_positions(scores, k)
             out[u] = RankList(u, tuple((pool[x], scores[x]) for x in top))
     return out
 
 
-def rank_ucf(train, profiles, beta: float, k: int, drop_zero_scores: bool = False) -> dict[int, RankList]:
+def rank_ucf(train, profiles, beta: float, k: int) -> dict[int, RankList]:
     """Rank every item against every other user, per target user.
 
-    Zero-score items are kept as deterministic tail entries unless
-    ``drop_zero_scores`` is set, so ranklists have predictable length.
+    Zero-score items are kept as deterministic tail entries, so ranklists
+    have predictable length.
     """
     group = (range(train.n_users), range(train.n_items))
-    return _rank_groups((group,), profiles, beta, k, drop_zero_scores)
+    return _rank_groups((group,), profiles, beta, k)
 
 
-def rank_fcum(clustering: Clustering, train, profiles, beta: float, k: int,
-              drop_zero_scores: bool = False) -> dict[int, RankList]:
+def rank_fcum(clustering: Clustering, train, profiles, beta: float, k: int) -> dict[int, RankList]:
     """Rank cluster item pools against cluster members, per target user.
 
     For a user in cluster ``j`` the neighbors are the other members of ``j``
     and the candidates are ``j``'s item pool minus the user's own items.
     """
     groups = zip(clustering.user_clusters, clustering.item_clusters)
-    return _rank_groups(groups, profiles, beta, k, drop_zero_scores)
+    return _rank_groups(groups, profiles, beta, k)
 
 
 def write_ranklists(ranklists: dict[int, RankList], train, path) -> None:
     """Dump ``user<TAB>rank<TAB>item<TAB>score`` lines, scores at 6 decimals."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         for u in sorted(ranklists):
             ext_user = train.users.id_of(u)
             for rank, (r, s) in enumerate(ranklists[u].entries, start=1):

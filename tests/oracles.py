@@ -176,27 +176,21 @@ def random_graph(rng, max_users=20, max_items=50, max_tags=20, min_triples_per_u
     return build_graph(records)
 
 
-def naive_filter_by_degree(graph, threshold, degree_mode):
+def naive_filter_by_degree(graph, threshold):
     """Drop every node under ``threshold`` until none is left, then rebuild.
 
     Degrees are recounted from the surviving records on every pass: the
-    number of records holding the node, or the number of distinct nodes of
-    the other two kinds it shares a record with.
+    number of records holding the node.
     """
     from tagrec.corpus import build_graph
 
     records = list(graph.interactions())
     while True:
-        neighbours = {}
+        holding = {}
         for rec in records:
-            nodes = (("u", rec.user), ("r", rec.item), ("t", rec.tag))
-            for node in nodes:
-                seen = neighbours.setdefault(node, [])
-                if degree_mode == "triples":
-                    seen.append(rec)
-                else:
-                    seen.extend(other for other in nodes if other != node and other not in seen)
-        low = {node for node, seen in neighbours.items() if len(seen) < threshold}
+            for node in (("u", rec.user), ("r", rec.item), ("t", rec.tag)):
+                holding.setdefault(node, []).append(rec)
+        low = {node for node, seen in holding.items() if len(seen) < threshold}
         if not low:
             return build_graph(records)
         records = [

@@ -36,10 +36,28 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "fcum:" in out and "recall@10=" in out
 
-    def test_unknown_flag_is_usage_error(self, corpus_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--input", str(corpus_path), "--threads", "4"])
-        assert excinfo.value.code == 1
+    def test_unknown_flag_is_usage_error(self, corpus_path, tmp_path, capsys):
+        sweep = ["sweep", "--param", "iterations", "--values", "1,2"]
+        for argv, flag in (
+            (["run", "--threads", "4"], "--threads"),
+            (["run", "--degree-mode", "triples"], "--degree-mode"),
+            (["run", "--timing-runs", "3"], "--timing-runs"),
+            ([*sweep, "--degree-mode", "triples"], "--degree-mode"),
+            ([*sweep, "--timing-runs", "3"], "--timing-runs"),
+            (["split", "--output", str(tmp_path / "out"), "--degree-mode", "triples"], "--degree-mode"),
+            (["cluster", "--output", str(tmp_path / "c.tsv"), "--degree-mode", "triples"], "--degree-mode"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, "--input", str(corpus_path)])
+            assert excinfo.value.code == 1
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_bad_k_list_is_usage_error_naming_the_flag(self, corpus_path, capsys):
+        for bad in ("5..", "1,x", "3..1"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "--input", str(corpus_path), "--k-list", bad])
+            assert excinfo.value.code == 1
+            assert f"error: argument --k-list: invalid k_list value: {bad!r}" in capsys.readouterr().err
 
     def test_bad_flag_value_is_usage_error(self, corpus_path):
         code = main(["run", "--input", str(corpus_path), "--mode", "fcum", "--beta", "7"])
@@ -104,8 +122,7 @@ class TestRunCommand:
         values = {
             "input": str(corpus_path), "mode": "fcum", "degree_threshold": "2", "split_ratio": "0.75",
             "beta": "0.4", "gamma": "0.6", "avg_cluster_size": "12", "iterations": "3",
-            "k_list": "1,5,10", "seed": "9", "output": str(tmp_path / "out"),
-            "degree_mode": "neighbors", "timing_runs": "2", "dump_ranklists": "yes",
+            "k_list": "1,5,10", "seed": "9", "output": str(tmp_path / "out"), "dump_ranklists": "yes",
         }
         assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
         cfg = tmp_path / "all.cfg"
@@ -126,10 +143,12 @@ class TestRunCommand:
         defaults = ExperimentConfig(input="").echo()
         assert all(echo[key] != default for key, default in defaults.items())
 
-    def test_unknown_config_key_rejected(self, corpus_path, tmp_path):
+    def test_unknown_config_key_rejected(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("inpt=x\n", encoding="utf-8")
-        assert main(["run", "--config", str(cfg)]) == 1
+        for key, value in (("inpt", "x"), ("degree_mode", "triples"), ("timing_runs", "1")):
+            cfg.write_text(f"input={corpus_path}\n{key}={value}\n", encoding="utf-8")
+            assert main(["run", "--config", str(cfg)]) == 1
+            assert f"line 2: unknown config key {key!r}" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -156,6 +175,22 @@ class TestSweepCommand:
         assert "--- iterations=1" in text and "--- iterations=2" in text
         doc = json.loads((out / "sweep.json").read_text())
         assert doc["values"] == [1, 2]
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("beta", "0.5,2", "beta must be in [0, 1]"),
+        ("iterations", "1,1", "sweep values must be distinct"),
+    ])
+    def test_every_value_is_checked_before_the_first_run(self, param, values, message, corpus_path,
+                                                         tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep ran before it had checked every value")
+
+        monkeypatch.setattr(experiment, "run_experiment", fail)
+        argv = ["sweep", "--input", str(corpus_path), "--param", param, "--values", values,
+                "--output", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenCommand:
@@ -252,8 +287,7 @@ class TestClusterCommand:
                                          triples_per_user=30, in_community_prob=0.9, seed=3), corpus)
         defaults = ExperimentConfig(input=str(corpus))
         spelled = []
-        for name in ("degree_threshold", "degree_mode", "split_ratio", "gamma", "avg_cluster_size",
-                     "iterations", "seed"):
+        for name in ("degree_threshold", "split_ratio", "gamma", "avg_cluster_size", "iterations", "seed"):
             spelled += [f"--{name.replace('_', '-')}", str(getattr(defaults, name))]
         dumps = []
         for extra in ([], spelled):
@@ -270,31 +304,35 @@ class TestOutputPath:
         "sweep": ["sweep", *RUN_FLAGS, "--param", "iterations", "--values", "1,2"],
         "split": ["split", "--degree-threshold", "2"],
         "cluster": ["cluster", "--degree-threshold", "2"],
+        "gen": ["gen", "--users", "20"],
     }
+    FILE_OUTPUTS = ("cluster", "gen")
 
     @pytest.fixture
     def no_work(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("the command started work despite an unusable --output")
 
-        for name in ("run_experiment", "sweep", "prepare_corpus", "split_corpus"):
+        for name in ("run_experiment", "sweep", "prepare_corpus", "split_corpus", "generate_synthetic"):
             monkeypatch.setattr(cli, name, fail)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_unusable_output_is_io_error_before_any_work(self, command, corpus_path, tmp_path, capsys, no_work):
         taken = tmp_path / "taken"
-        if command == "cluster":
-            taken.mkdir()  # a directory where the dump file should go
+        if command in self.FILE_OUTPUTS:
+            taken.mkdir()  # a directory where the output file should go
         else:
             taken.write_text("keep\n", encoding="utf-8")
-        argv = [*self.COMMANDS[command], "--input", str(corpus_path), "--output", str(taken)]
+        argv = [*self.COMMANDS[command], "--output", str(taken)]
+        if command != "gen":
+            argv += ["--input", str(corpus_path)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"tagrec: error: --output {taken}: " + (
-            "is a directory" if command == "cluster" else "exists and is not a directory")]
+            "is a directory" if command in self.FILE_OUTPUTS else "exists and is not a directory")]
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
-        if command == "cluster":
+        if command in self.FILE_OUTPUTS:
             assert list(taken.iterdir()) == []
         else:
             assert taken.read_text(encoding="utf-8") == "keep\n"

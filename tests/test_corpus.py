@@ -137,50 +137,34 @@ class TestFilterByDegree:
         assert list(out.tags) == ["t1", "t2"]
         assert out.n_triples == 4
 
-    @pytest.mark.parametrize("degree_mode", ["triples", "neighbors"])
-    def test_fixpoint_and_idempotence_on_random_graphs(self, degree_mode):
+    def test_fixpoint_and_idempotence_on_random_graphs(self):
         rng = random.Random(1234)
         for _ in range(40):
             g = random_graph(rng)
             threshold = rng.randint(0, 4)
-            out = filter_by_degree(g, threshold, degree_mode)
-            counts = _degree_counts(out, degree_mode)
-            assert all(c >= threshold for c in counts)
-            assert filter_by_degree(out, threshold, degree_mode) == out
+            out = filter_by_degree(g, threshold)
+            assert all(c >= threshold for c in _degree_counts(out))
+            assert filter_by_degree(out, threshold) == out
 
-    def test_neighbor_mode_differs_from_triple_mode(self):
+    def test_degree_counts_triples_not_distinct_neighbours(self):
         # one user, one item, one tag, repeated at distinct timestamps:
-        # triple-degree is 3 but each node has only 2 distinct neighbors
+        # each node is in 3 triples but has only 2 distinct neighbours
         g = make_graph([("u1", "r1", "t1", i) for i in range(3)])
-        assert filter_by_degree(g, 3, "triples").n_triples == 3
-        assert filter_by_degree(g, 3, "neighbors").n_triples == 0
+        assert filter_by_degree(g, 3).n_triples == 3
 
     def test_bad_arguments(self):
         g = make_graph([("u1", "r1", "t1")])
         with pytest.raises(ValueError):
             filter_by_degree(g, -1)
-        with pytest.raises(ValueError):
-            filter_by_degree(g, 1, "edges")
 
 
-def _degree_counts(graph, degree_mode):
+def _degree_counts(graph):
     counts = []
-    if degree_mode == "triples":
-        for kind in range(3):
-            tally = {}
-            for triple in graph.triples:
-                tally[triple[kind]] = tally.get(triple[kind], 0) + 1
-            counts.extend(tally.values())
-    else:
-        users = {u: set() for u in range(graph.n_users)}
-        items = {r: set() for r in range(graph.n_items)}
-        tags = {t: set() for t in range(graph.n_tags)}
-        for u, r, t, _ in graph.triples:
-            users[u].update({("r", r), ("t", t)})
-            items[r].update({("u", u), ("t", t)})
-            tags[t].update({("u", u), ("r", r)})
-        for group in (users, items, tags):
-            counts.extend(len(v) for v in group.values())
+    for kind in range(3):
+        tally = {}
+        for triple in graph.triples:
+            tally[triple[kind]] = tally.get(triple[kind], 0) + 1
+        counts.extend(tally.values())
     return counts
 
 
@@ -282,9 +266,9 @@ class TestAgainstStringOracle:
             g = random_graph(rng, max_users=25, max_items=30, max_tags=15,
                              min_triples_per_user=1 + case % 3,
                              max_timestamp=rng.choice([None, 4, 12]))
-            threshold, degree_mode = case % 4, ("triples", "neighbors")[case // 4 % 2]
-            filtered = filter_by_degree(g, threshold, degree_mode)
-            want = naive_filter_by_degree(g, threshold, degree_mode)
+            threshold = case % 4
+            filtered = filter_by_degree(g, threshold)
+            want = naive_filter_by_degree(g, threshold)
             assert filtered == want
             assert (filtered.user_items, filtered.user_tags) == (want.user_items, want.user_tags)
             if filtered.n_triples == 0:

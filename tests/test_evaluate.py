@@ -1,9 +1,11 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from tagrec.corpus import TestSet as HeldOutSet
+from tagrec.clustering import write_clustering
+from tagrec.corpus import TestSet as HeldOutSet, write_summary, write_triples
 from tagrec.evaluate import (
     EvalReport,
     MetricsAtK,
@@ -16,8 +18,9 @@ from tagrec.evaluate import (
     write_json,
     write_report,
 )
-from tagrec.recommend import RankList
+from tagrec.recommend import RankList, write_ranklists
 
+from conftest import make_graph
 from oracles import naive_f1, naive_hit_total, naive_precision, naive_recall
 
 
@@ -191,9 +194,28 @@ class TestReportSerialization:
         assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_failed_write_keeps_the_earlier_file_and_no_temp_file(self, tmp_path):
-        path = write_json(tmp_path / "doc.json", {"a": 1})
-        before = path.read_bytes()
-        with pytest.raises(TypeError):
-            write_json(path, {"a": 2, "b": object()})  # "a" is written before "b" fails
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+        class Unformattable:
+            def __format__(self, spec):
+                raise ValueError("cannot format")
+
+        g = make_graph([("u1", "r1", "t1", 1), ("u2", "r2", "t1", 2)])
+        records = list(g.interactions())
+        # every bad document fails after the writer has written its first line
+        cases = (
+            ("doc.json", lambda doc, path: write_json(path, doc),
+             {"a": 1}, {"a": 2, "b": object()}, TypeError),
+            ("triples.tsv", write_triples, records, [records[0], None], AttributeError),
+            ("summary.txt", write_summary, {"a": 1}, {"a": 2, "b": Unformattable()}, ValueError),
+            ("clusters.tsv", lambda doc, path: write_clustering(doc, g, path),
+             SimpleNamespace(assignment=[0, 1]), SimpleNamespace(assignment=[1, 0, 0]), IndexError),
+            ("ranklists.tsv", lambda doc, path: write_ranklists(doc, g, path),
+             {0: ranklist(0, [1])}, {0: ranklist(0, [1]), 2: ranklist(2, [0])}, IndexError),
+        )
+        for name, write, good, bad, error in cases:
+            path = tmp_path / name
+            write(good, path)
+            before = path.read_bytes()
+            with pytest.raises(error):
+                write(bad, path)
+            assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(case[0] for case in cases)

@@ -31,7 +31,6 @@ def config(corpus_path, **overrides):
         degree_threshold=2,
         avg_cluster_size=15,
         k_list=(1, 5, 10),
-        timing_runs=1,
     )
     params.update(overrides)
     return ExperimentConfig(**params)
@@ -115,12 +114,6 @@ class TestRunExperiment:
             assert doc_a == doc_b
         combined_a = json.loads((out_a / "combined.json").read_text())
         assert set(combined_a) == {"config", "ucf", "fcum", "ratios", "timing"}
-
-    def test_timing_runs_median(self, corpus_path):
-        result = run_experiment(config(corpus_path, mode="fcum", timing_runs=3))
-        timing = result.reports["fcum"].timing
-        assert timing["timing_runs"] == 3
-        assert timing["total_seconds"] > 0
 
     def test_overaggressive_threshold_is_a_data_error(self, corpus_path):
         with pytest.raises(DataError, match="lower"):

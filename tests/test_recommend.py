@@ -125,7 +125,7 @@ class TestRankUcf:
         sim = user_similarity(profiles[g.users.index_of("u")], profiles[g.users.index_of("v000")], 0.5)
         assert entries == tuple((g.items.index_of(f"only{v:03d}"), sim) for v in range(20))
 
-    def test_zero_score_items_padded_deterministically_or_dropped(self):
+    def test_zero_score_items_padded_deterministically(self):
         g = make_graph(
             [
                 ("u1", "r1", "t1", 1),
@@ -138,8 +138,6 @@ class TestRankUcf:
         padded = rank_ucf(g, profiles, 0.5, 4)
         assert len(padded[0].entries) == 2  # r9, r8 score 0 but are still listed
         assert all(s == 0.0 for _, s in padded[0].entries)
-        dropped = rank_ucf(g, profiles, 0.5, 4, drop_zero_scores=True)
-        assert dropped[0].entries == ()
 
 
 class TestRankFcum:
@@ -164,20 +162,19 @@ class TestRankFcum:
             clustering = coarse_cluster(g, profiles, rng.randint(2, 4), 2, 0.5, seed=rng.randrange(1000))
             beta = rng.choice((0.0, 0.3, 0.5, 1.0))
             for k in (3, 40):  # 40 exceeds every pool, so whole lists are compared
-                for drop in (False, True):
-                    out = rank_fcum(clustering, g, profiles, beta, k, drop_zero_scores=drop)
-                    assert sorted(out) == list(range(g.n_users))
-                    for members, pool in zip(clustering.user_clusters, clustering.item_clusters):
-                        for u in members:
-                            direct = [(r, score(u, r, members, profiles, beta)) for r in pool]
-                            kept = [(r, s) for r, s in direct if s > 0.0 or (s == 0.0 and not drop)]
-                            expected = sorted(kept, key=lambda e: (-e[1], e[0]))[:k]
-                            assert list(out[u].entries) == expected
-                            positive = sum(1 for _, s in kept if s > 0.0)
-                            if not drop and positive < k < len(kept):
-                                short_lists += 1
-                            if not drop and len(expected) > positive + 1:
-                                zero_tails += 1
+                out = rank_fcum(clustering, g, profiles, beta, k)
+                assert sorted(out) == list(range(g.n_users))
+                for members, pool in zip(clustering.user_clusters, clustering.item_clusters):
+                    for u in members:
+                        direct = [(r, score(u, r, members, profiles, beta)) for r in pool]
+                        kept = [(r, s) for r, s in direct if s >= 0.0]
+                        expected = sorted(kept, key=lambda e: (-e[1], e[0]))[:k]
+                        assert list(out[u].entries) == expected
+                        positive = sum(1 for _, s in kept if s > 0.0)
+                        if positive < k < len(kept):
+                            short_lists += 1
+                        if len(expected) > positive + 1:
+                            zero_tails += 1
         assert zero_tails and short_lists  # the zero-score tail was exercised
 
     def test_candidates_confined_to_cluster_pool(self):

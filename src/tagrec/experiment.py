@@ -2,11 +2,17 @@
 
 ``run_experiment`` executes the whole pipeline for one configuration. In
 ``mode="both"`` the baseline and the clustered recommender share one split
-and one profile build, so their metrics and timings are directly
-comparable; the combined report then also carries their ratios.
+and one profile build, so their metrics are directly comparable; the
+combined report then also carries their ratios. When the process may use
+two or more CPUs, the two modes run at the same time, FCUM in a forked child
+process, so each mode's timing is taken while the other runs; with one CPU
+they run in turn. Each mode's own work stays single-threaded either way.
 """
 
 import dataclasses
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,10 +81,11 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Per-mode reports, plus fcum/ucf ratios when both modes ran."""
+    """Per-mode reports, fcum/ucf ratios when both modes ran, and the modes' wall time."""
 
     reports: dict[str, EvalReport]
     ratios: dict | None = None
+    modes_wall_seconds: float = 0.0
     written: list[Path] = field(default_factory=list)
 
 
@@ -178,24 +185,77 @@ def prepare_corpus(cfg: ExperimentConfig):
     return filtered, split, build_profiles(split.train)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the configured pipeline and (optionally) write the reports.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Returns one report per requested mode; with ``mode="both"`` the result
-    also carries fcum/ucf timing and metric ratios, and both algorithms see
-    the identical split and profiles.
+
+def _fcum_child(sender, split, profiles, cfg, kmax):
+    """Body of the forked child: run FCUM and send ``(failed, result or exception)``."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and terminates this child
+    try:
+        message = (False, _run_mode("fcum", split, profiles, cfg, kmax))
+    except Exception as exc:
+        message = (True, exc)
+    sender.send(message)
+
+
+def _run_side_by_side(split, profiles, cfg, kmax) -> dict:
+    """Run UCF here while a forked child runs FCUM; return ``{mode: (report, ranklists)}``.
+
+    The child inherits the split and profiles and sends its result back over
+    a one-way pipe. An exception raised in the child is raised here with its
+    type and message; a child that exits without a result raises
+    ``ChildProcessError``. The child is always joined, and is terminated if
+    anything here fails, ``KeyboardInterrupt`` included.
     """
-    _, split, profiles = prepare_corpus(cfg)
+    import multiprocessing  # here only: at module level it adds ~1 MiB to the peak RSS of every run
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_fcum_child, args=(sender, split, profiles, cfg, kmax))
+    child.start()
+    sender.close()  # so the child's exit without a result reads as end of file
+    try:
+        ucf = _run_mode("ucf", split, profiles, cfg, kmax)
+        try:
+            failed, fcum = receiver.recv()
+        except EOFError:
+            child.join()
+            message = f"the fcum run exited with code {child.exitcode} without a result"
+            raise ChildProcessError(message) from None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        receiver.close()
+    if failed:
+        raise fcum
+    return {"ucf": ucf, "fcum": fcum}
+
+
+def _run_prepared(cfg: ExperimentConfig, prepared) -> ExperimentResult:
+    """``run_experiment`` on the ``(filtered, split, profiles)`` of ``prepare_corpus(cfg)``."""
+    _, split, profiles = prepared
     kmax = max(cfg.k_list)
+    modes = [mode for mode in ("ucf", "fcum") if cfg.mode in (mode, "both")]
 
-    reports: dict[str, EvalReport] = {}
-    ranklists_by_mode = {}
-    for mode in ("ucf", "fcum"):
-        if cfg.mode in (mode, "both"):
-            reports[mode], ranklists_by_mode[mode] = _run_mode(mode, split, profiles, cfg, kmax)
+    # fork copies only this thread: a lock that another thread holds would stay held in the child
+    side_by_side = (len(modes) == 2 and _usable_cpus() >= 2 and hasattr(os, "fork")
+                    and threading.active_count() == 1)
+    start = time.perf_counter()
+    if side_by_side:
+        runs = _run_side_by_side(split, profiles, cfg, kmax)
+    else:
+        runs = {mode: _run_mode(mode, split, profiles, cfg, kmax) for mode in modes}
+    modes_wall_seconds = time.perf_counter() - start
 
+    reports = {mode: report for mode, (report, _) in runs.items()}
     ratios = _ratios(reports, cfg.k_list) if len(reports) == 2 else None
-    result = ExperimentResult(reports=reports, ratios=ratios)
+    result = ExperimentResult(reports=reports, ratios=ratios, modes_wall_seconds=modes_wall_seconds)
 
     if cfg.output is not None:
         directory = Path(cfg.output)
@@ -203,7 +263,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for mode, report in reports.items():
             result.written.extend(write_report(report, directory, mode))
         if cfg.dump_ranklists:
-            for mode, ranklists in ranklists_by_mode.items():
+            for mode, (_, ranklists) in runs.items():
                 path = directory / f"{mode}.ranklists.tsv"
                 write_ranklists(ranklists, split.train, path)
                 result.written.append(path)
@@ -214,15 +274,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run the configured pipeline and (optionally) write the reports.
+
+    Returns one report per requested mode; with ``mode="both"`` the result
+    also carries fcum/ucf timing and metric ratios, and both algorithms see
+    the identical split and profiles. ``modes_wall_seconds`` is the time
+    from the start of the modes until all have finished: about the larger
+    mode time when the two modes ran side by side, their sum when not.
+    """
+    return _run_prepared(cfg, prepare_corpus(cfg))
+
+
 def _result_docs(result: ExperimentResult) -> tuple[dict, dict]:
     """A run's untimed documents and its timing, for ``combined.json`` and ``sweep.json``.
 
     The first maps each mode to its ``report_dict`` without timing, plus
     ``ratios`` when both modes ran; the second maps each mode to its timing,
-    plus the fcum/ucf ``total_seconds_ratio``, which is a timing too.
+    plus ``modes_wall_seconds`` and the fcum/ucf ``total_seconds_ratio``,
+    which are timings too.
     """
     docs = {mode: report_dict(report) for mode, report in result.reports.items()}
     timing = {mode: doc.pop("timing") for mode, doc in docs.items()}
+    timing["modes_wall_seconds"] = round(result.modes_wall_seconds, 3)
     if result.ratios is not None:
         docs["ratios"] = {k: v for k, v in result.ratios.items() if k != "total_seconds"}
         timing["total_seconds_ratio"] = result.ratios["total_seconds"]
@@ -233,9 +307,10 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
     """Re-run the experiment once per value of one swept parameter.
 
     Everything else, including the seed, stays fixed. Every value is checked
-    before the first run. Individual runs do not write files; when
-    ``cfg.output`` is set a combined sweep report keyed by value is written
-    instead.
+    before the first run. The corpus is prepared once, unless the swept
+    parameter is ``degree_threshold``, the only one that changes it.
+    Individual runs do not write files; when ``cfg.output`` is set a
+    combined sweep report keyed by value is written instead.
     """
     if param not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
@@ -246,7 +321,11 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
         raise ValueError(f"sweep values must be distinct, got {values}")
     run_cfgs = [dataclasses.replace(cfg, **{param: value, "output": None}) for value in values]
 
-    results = [run_experiment(run_cfg) for run_cfg in run_cfgs]
+    if param == "degree_threshold":
+        results = [run_experiment(run_cfg) for run_cfg in run_cfgs]
+    else:
+        prepared = prepare_corpus(cfg)
+        results = [_run_prepared(run_cfg, prepared) for run_cfg in run_cfgs]
 
     if cfg.output is not None:
         directory = Path(cfg.output)

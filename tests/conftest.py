@@ -1,3 +1,5 @@
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
+from tagrec import experiment
 from tagrec.corpus import Interaction, build_graph, filter_by_degree, temporal_split
 from tagrec.profiles import build_profiles
 from tagrec.synthetic import SyntheticSpec, generate_interactions
@@ -46,3 +49,34 @@ def benchmark_corpus():
     split = temporal_split(filtered, 0.8)
     profiles = build_profiles(split.train)
     return split, profiles
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPU count ``experiment`` sees, so a both-mode run takes either path on any host.
+
+    ``usable_cpus(1)`` runs the two modes in turn in this process;
+    ``usable_cpus(2)`` runs FCUM in a forked child (the test is skipped where
+    the platform cannot fork).
+    """
+
+    def set_count(n):
+        if n > 1 and not hasattr(os, "fork"):
+            pytest.skip("this platform cannot fork")
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: n)
+
+    return set_count
+
+
+@pytest.fixture
+def no_hang():
+    """Fail the test, instead of hanging the suite, if it runs longer than a minute."""
+
+    def on_alarm(signum, frame):
+        pytest.fail("timed out after 60 s")  # a BaseException, so no ``except Exception`` swallows it
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from tagrec import cli, experiment
 from tagrec.cli import main
-from tagrec.corpus import build_graph, read_triples
+from tagrec.corpus import DataError, build_graph, read_triples
 from tagrec.experiment import ExperimentConfig
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
 
@@ -86,6 +88,38 @@ class TestExitCodes:
         code = main(["run", "--input", str(corpus_path), "--degree-threshold", "9999"])
         assert code == 2
         assert "lower" in capsys.readouterr().err
+
+
+def _raising(exc):
+    def action():
+        raise exc
+    return action
+
+
+class TestChildFailures:
+    """A both-mode run whose FCUM half fails in the forked child."""
+
+    @pytest.mark.parametrize("action, code, line", [
+        (_raising(DataError("planted data fault")), 2, "tagrec: data error: planted data fault"),
+        (_raising(ValueError("planted value fault")), 1, "tagrec: error: planted value fault"),
+        (lambda: os._exit(3), 2, "tagrec: error: the fcum run exited with code 3 without a result"),
+    ], ids=["data-error", "value-error", "exit-3"])
+    def test_maps_to_its_exit_code_with_one_line(self, action, code, line, corpus_path, tmp_path,
+                                                 usable_cpus, monkeypatch, capsys, no_hang):
+        usable_cpus(2)
+        parent, real = os.getpid(), experiment._run_mode
+
+        def failing_in_child(mode, *args):
+            if mode == "fcum" and os.getpid() != parent:
+                action()
+            return real(mode, *args)
+
+        monkeypatch.setattr(experiment, "_run_mode", failing_in_child)
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(corpus_path), "--output", str(out), *RUN_FLAGS]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert multiprocessing.active_children() == []
+        assert not (out / "combined.json").exists()
 
 
 class TestRunCommand:

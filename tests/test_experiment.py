@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import threading
+import time
 
 import pytest
 
+from tagrec import experiment
 from tagrec.corpus import DataError
 from tagrec.experiment import ExperimentConfig, run_experiment, sweep
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
@@ -147,8 +152,124 @@ class TestSweep:
         assert doc["values"] == [10, 20]
         assert set(doc["runs"]) == {"10", "20"}
 
+    @pytest.mark.parametrize("param, values, preparations", [
+        ("iterations", [1, 2, 3], 1),
+        ("degree_threshold", [1, 2, 3], 3),
+    ])
+    def test_corpus_is_prepared_once_unless_the_threshold_is_swept(self, param, values, preparations,
+                                                                  corpus_path, monkeypatch):
+        calls = []
+        real = experiment.prepare_corpus
+
+        def counting(cfg):
+            calls.append(cfg.degree_threshold)
+            return real(cfg)
+
+        monkeypatch.setattr(experiment, "prepare_corpus", counting)
+        results = sweep(config(corpus_path), param, values)
+        assert len(calls) == preparations
+        for value, result in zip(values, results):
+            direct = run_experiment(config(corpus_path, **{param: value}))
+            for mode in ("ucf", "fcum"):
+                assert result.reports[mode].per_k == direct.reports[mode].per_k
+
     def test_unknown_parameter_rejected(self, corpus_path):
         with pytest.raises(ValueError):
             sweep(config(corpus_path), "threads", [1, 2])
         with pytest.raises(ValueError):
             sweep(config(corpus_path), "iterations", [])
+
+
+def _record_pids(monkeypatch, directory):
+    """Make each ``_run_mode`` call write the pid that ran it to ``<directory>/<mode>.pid``."""
+    real = experiment._run_mode
+
+    def recording(mode, *args):
+        (directory / f"{mode}.pid").write_text(str(os.getpid()))
+        return real(mode, *args)
+
+    monkeypatch.setattr(experiment, "_run_mode", recording)
+
+
+def _untimed_outputs(directory):
+    """Every file a run wrote: JSON documents without ``timing``, other files as bytes."""
+    out = {}
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc.pop("timing")
+            out[path.name] = doc
+        else:
+            out[path.name] = path.read_bytes()
+    return out
+
+
+class TestSideBySide:
+    def test_one_or_two_cpus_write_identical_outputs(self, corpus_path, tmp_path, usable_cpus, monkeypatch):
+        out = tmp_path / "out"
+        cfg = config(corpus_path, output=str(out), dump_ranklists=True)
+        _record_pids(monkeypatch, tmp_path)
+        outputs, pids = {}, {}
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            result = run_experiment(cfg)
+            outputs[cpus] = _untimed_outputs(out)
+            pids[cpus] = {mode: int((tmp_path / f"{mode}.pid").read_text()) for mode in ("ucf", "fcum")}
+            totals = [report.timing["total_seconds"] for report in result.reports.values()]
+            # the modes' wall time covers their sum when they ran in turn, their maximum when not
+            assert result.modes_wall_seconds >= (sum(totals) if cpus == 1 else max(totals))
+            timing = json.loads((out / "combined.json").read_text(encoding="utf-8"))["timing"]
+            assert timing["modes_wall_seconds"] == round(result.modes_wall_seconds, 3)
+            for path in out.iterdir():
+                path.unlink()
+        assert set(outputs[1]) == {
+            "combined.json", *(f"{mode}.{kind}" for mode in ("ucf", "fcum")
+                               for kind in ("report.txt", "report.json", "ranklists.tsv")),
+        }
+        assert outputs[1] == outputs[2]
+        assert pids[1] == {"ucf": os.getpid(), "fcum": os.getpid()}
+        assert pids[2]["ucf"] == os.getpid() != pids[2]["fcum"]
+
+    def test_single_mode_never_forks(self, corpus_path, tmp_path, usable_cpus, monkeypatch):
+        usable_cpus(2)
+        _record_pids(monkeypatch, tmp_path)
+        for mode in ("ucf", "fcum"):
+            run_experiment(config(corpus_path, mode=mode))
+            assert int((tmp_path / f"{mode}.pid").read_text()) == os.getpid()
+
+    def test_no_fork_while_another_thread_runs(self, corpus_path, tmp_path, usable_cpus, monkeypatch):
+        usable_cpus(2)
+        _record_pids(monkeypatch, tmp_path)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            run_experiment(config(corpus_path))
+        finally:
+            release.set()
+            waiter.join()
+        assert int((tmp_path / "fcum.pid").read_text()) == os.getpid()
+
+    def test_interrupt_terminates_and_joins_the_child(self, corpus_path, tmp_path, usable_cpus, monkeypatch,
+                                                      no_hang):
+        usable_cpus(2)
+        started = tmp_path / "fcum.pid"
+
+        def slow_fcum_and_interrupted_ucf(mode, *args):
+            if mode == "fcum":
+                started.write_text(str(os.getpid()))
+                time.sleep(120)
+            while not started.exists():  # interrupt only once the child is busy
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "_run_mode", slow_fcum_and_interrupted_ucf)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config(corpus_path))
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+        child = int(started.read_text())
+        assert child != os.getpid()
+        with pytest.raises(ProcessLookupError):  # terminated and reaped
+            os.kill(child, 0)

@@ -171,7 +171,7 @@ def test_sweep_of_both_modes_is_identical_without_timing(tmp_path):
         docs.append(json.loads((workdir / "out" / "sweep.json").read_text(encoding="utf-8")))
     timings = [doc.pop("timing") for doc in docs]
     assert docs[0] == docs[1]
-    assert set(timings[0]["1"]) == {"ucf", "fcum", "total_seconds_ratio"}
+    assert set(timings[0]["1"]) == {"ucf", "fcum", "modes_wall_seconds", "total_seconds_ratio"}
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])

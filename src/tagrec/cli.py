@@ -126,6 +126,8 @@ def _print_summary(result):
         )
     if result.ratios is not None and result.ratios["total_seconds"] is not None:
         print(f"fcum/ucf total time ratio: {result.ratios['total_seconds']:.3f}")
+    if result.ratios is not None:  # the modes may have overlapped, so no mode's total is the elapsed time
+        print(f"modes wall time: {result.modes_wall_seconds:.3f}s")
     for path in result.written:
         print(f"wrote {path}")
 

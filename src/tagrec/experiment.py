@@ -4,9 +4,12 @@
 ``mode="both"`` the baseline and the clustered recommender share one split
 and one profile build, so their metrics are directly comparable; the
 combined report then also carries their ratios. When the process may use
-two or more CPUs, the two modes run at the same time, FCUM in a forked child
-process, so each mode's timing is taken while the other runs; with one CPU
-they run in turn. Each mode's own work stays single-threaded either way.
+two or more CPUs, the two modes run at the same time: UCF in this process,
+FCUM in a forked child, which then ranks UCF's remaining target users from
+the other end. Each mode's timing is thus taken while the other process
+runs, and UCF's is the sum of both processes' ranking seconds, its cost on
+one core. With one CPU the modes run in turn. Each call of a ranking
+function stays single-threaded either way.
 """
 
 import dataclasses
@@ -105,13 +108,15 @@ def fcum_scored_work(clustering, train) -> int:
     return total
 
 
-def _run_mode(mode, split, profiles, cfg, kmax):
+def _run_mode(mode, split, profiles, cfg, kmax, users=None, helper=None):
     """Time one run of one mode and evaluate its ranklists.
 
     ``fcum`` clusters the users and then ranks within each cluster, and its
     report carries the clustering's work counters; ``ucf`` ranks every user
     against all users, so its clustering time is 0 and its score time is its
-    total time.
+    total time. ``ucf`` may share its target users with another process:
+    this one then ranks the ``users`` it claims, and ``helper()`` returns
+    the other's ranklists and ranking seconds, which join this process's.
     """
     train = split.train
     k_clusters = choose_k(train.n_users, cfg.avg_cluster_size) if mode == "fcum" else None
@@ -121,9 +126,15 @@ def _run_mode(mode, split, profiles, cfg, kmax):
         mid = time.perf_counter()
         ranklists = rank_fcum(clustering, train, profiles, cfg.beta, kmax)
     else:
-        clustering, ranklists = None, rank_ucf(train, profiles, cfg.beta, kmax)
+        clustering, ranklists = None, rank_ucf(train, profiles, cfg.beta, kmax, users)
     end = time.perf_counter()
-    timing = {"cluster_seconds": mid - start, "score_seconds": end - mid, "total_seconds": end - start}
+    helped_seconds = 0.0
+    if helper is not None:
+        helped, helped_seconds = helper()
+        ranklists.update(helped)
+        ranklists = {u: ranklists[u] for u in range(train.n_users)}  # every user, in a lone run's order
+    timing = {"cluster_seconds": mid - start, "score_seconds": end - mid + helped_seconds,
+              "total_seconds": end - start + helped_seconds}
     work = {
         "users": train.n_users,
         "items": train.n_items,
@@ -192,48 +203,90 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fcum_child(sender, split, profiles, cfg, kmax):
-    """Body of the forked child: run FCUM and send ``(failed, result or exception)``."""
+def _claim_front(lo, hi):
+    """Claim indices upwards from ``lo.value`` until they meet ``hi.value``, writing ``lo`` only."""
+    i = lo.value
+    while i < hi.value:
+        lo.value = i + 1
+        yield i
+        i += 1
+
+
+def _claim_back(lo, hi):
+    """Claim indices downwards from ``hi.value - 1`` until they meet ``lo.value``, writing ``hi`` only."""
+    j = hi.value - 1
+    while j >= lo.value:
+        hi.value = j
+        yield j
+        j -= 1
+
+
+def _fcum_child(sender, split, profiles, cfg, kmax, lo, hi):
+    """Body of the forked child: run FCUM, then rank UCF's users from the back, and send the outcome.
+
+    The message is ``(False, (FCUM result, UCF ranklists, UCF seconds))``,
+    or ``(True, exception)``.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and terminates this child
     try:
-        message = (False, _run_mode("fcum", split, profiles, cfg, kmax))
+        fcum = _run_mode("fcum", split, profiles, cfg, kmax)
+        start = time.perf_counter()
+        ranklists = rank_ucf(split.train, profiles, cfg.beta, kmax, _claim_back(lo, hi))
+        message = (False, (fcum, ranklists, time.perf_counter() - start))
     except Exception as exc:
         message = (True, exc)
     sender.send(message)
 
 
 def _run_side_by_side(split, profiles, cfg, kmax) -> dict:
-    """Run UCF here while a forked child runs FCUM; return ``{mode: (report, ranklists)}``.
+    """Run UCF here while a forked child runs FCUM, then helps with UCF; return ``{mode: (report, ranklists)}``.
+
+    UCF's target users are shared through two integers in shared memory:
+    this process claims users from the front (``lo`` rises), the child from
+    the back once its FCUM is done (``hi`` falls). Each process writes only
+    its own end, and as the ends only move towards each other, a stale read
+    of the other's end only makes a process stop later. So no user is
+    skipped, only where the ends meet can a user be ranked twice (to the
+    same ranklist), and there is no lock that a dying child could leave held.
 
     The child inherits the split and profiles and sends its result back over
     a one-way pipe. An exception raised in the child is raised here with its
     type and message; a child that exits without a result raises
-    ``ChildProcessError``. The child is always joined, and is terminated if
-    anything here fails, ``KeyboardInterrupt`` included.
+    ``ChildProcessError`` once this process has ranked its share. The child
+    is always joined, and is terminated if anything here fails,
+    ``KeyboardInterrupt`` included.
     """
     import multiprocessing  # here only: at module level it adds ~1 MiB to the peak RSS of every run
 
     context = multiprocessing.get_context("fork")
+    lo, hi = context.RawValue("q", 0), context.RawValue("q", split.train.n_users)
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_fcum_child, args=(sender, split, profiles, cfg, kmax))
+    child = context.Process(target=_fcum_child, args=(sender, split, profiles, cfg, kmax, lo, hi))
     child.start()
     sender.close()  # so the child's exit without a result reads as end of file
-    try:
-        ucf = _run_mode("ucf", split, profiles, cfg, kmax)
+    fcum = None
+
+    def child_share():
+        nonlocal fcum
         try:
-            failed, fcum = receiver.recv()
+            failed, outcome = receiver.recv()
         except EOFError:
             child.join()
             message = f"the fcum run exited with code {child.exitcode} without a result"
             raise ChildProcessError(message) from None
+        if failed:
+            raise outcome
+        fcum, ranklists, seconds = outcome
+        return ranklists, seconds
+
+    try:
+        ucf = _run_mode("ucf", split, profiles, cfg, kmax, _claim_front(lo, hi), child_share)
     except BaseException:
         child.terminate()
         raise
     finally:
         child.join()
         receiver.close()
-    if failed:
-        raise fcum
     return {"ucf": ucf, "fcum": fcum}
 
 
@@ -280,8 +333,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Returns one report per requested mode; with ``mode="both"`` the result
     also carries fcum/ucf timing and metric ratios, and both algorithms see
     the identical split and profiles. ``modes_wall_seconds`` is the time
-    from the start of the modes until all have finished: about the larger
-    mode time when the two modes ran side by side, their sum when not.
+    from the start of the modes until all have finished. It covers the sum
+    of the modes' times when they ran in turn; side by side, it covers
+    FCUM's time and half that sum, as both processes' timed spans lie in it.
     """
     return _run_prepared(cfg, prepare_corpus(cfg))
 

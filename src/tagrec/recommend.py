@@ -87,21 +87,22 @@ def _top_positions(scores: list[float], k: int) -> list[int]:
 
 
 def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
-    """Rank each group's item pool against each of its members.
+    """Rank each group's item pool for each of its targets, against all its members.
 
-    ``groups`` yields (members, pool) pairs; a pool is in ascending item
-    order and holds every item of its members, and the members of different
-    groups are disjoint.
+    ``groups`` yields (members, pool, targets) triples; a pool is in
+    ascending item order and holds every item of its members, the targets
+    are members, and the members of different groups are disjoint. A
+    group's targets are read only once its posting lists are built.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be in [0, 1]")
     out = {}
-    for members, pool in groups:
+    for members, pool, targets in groups:
         item_post, tag_post = posting_lists(members, profiles)
         # scores are kept per pool position, which orders like the item index
         position = {r: x for x, r in enumerate(pool)}.__getitem__
         held = {v: tuple(map(position, profiles[v].items_sorted)) for v in members}
-        for u in members:
+        for u in targets:
             prof = profiles[u]
             shared_items = Counter(chain.from_iterable(map(item_post.__getitem__, prof.items_sorted)))
             shared_tags = Counter(chain.from_iterable(map(tag_post.__getitem__, prof.tags_sorted)))
@@ -126,13 +127,17 @@ def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
     return out
 
 
-def rank_ucf(train, profiles, beta: float, k: int) -> dict[int, RankList]:
+def rank_ucf(train, profiles, beta: float, k: int, users=None) -> dict[int, RankList]:
     """Rank every item against every other user, per target user.
 
-    Zero-score items are kept as deterministic tail entries, so ranklists
-    have predictable length.
+    ``users`` iterates over the target users, every user by default, and
+    the result holds them in that order. It is read only once the posting
+    lists are built, so a generator can hand out targets as they are
+    needed. Zero-score items are kept as deterministic tail entries, so
+    ranklists have predictable length.
     """
-    group = (range(train.n_users), range(train.n_items))
+    everyone = range(train.n_users)
+    group = (everyone, range(train.n_items), everyone if users is None else users)
     return _rank_groups((group,), profiles, beta, k)
 
 
@@ -142,7 +147,7 @@ def rank_fcum(clustering: Clustering, train, profiles, beta: float, k: int) -> d
     For a user in cluster ``j`` the neighbors are the other members of ``j``
     and the candidates are ``j``'s item pool minus the user's own items.
     """
-    groups = zip(clustering.user_clusters, clustering.item_clusters)
+    groups = zip(clustering.user_clusters, clustering.item_clusters, clustering.user_clusters)
     return _rank_groups(groups, profiles, beta, k)
 
 

@@ -1,6 +1,7 @@
 import os
 import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,41 @@ def no_hang():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def ucf_share(monkeypatch, tmp_path):
+    """Hook the UCF target users the two processes of a side-by-side run claim.
+
+    ``ucf_share(on_user)`` wraps ``experiment.rank_ucf`` so that each target
+    claimed from a shared range is passed to ``on_user(user)`` in the
+    claiming process before it is ranked. The child claims first; the parent
+    claims its first user only then, and the child goes on only after that,
+    so both processes take part however fast either one is.
+    """
+    parent, real = os.getpid(), experiment.rank_ucf
+    child_claimed, parent_claimed = tmp_path / "child.claimed", tmp_path / "parent.claimed"
+
+    def wait_for(path):
+        while not path.exists():
+            time.sleep(0.005)
+
+    def install(on_user):
+        def hooked(users):
+            in_parent = os.getpid() == parent
+            if in_parent:
+                wait_for(child_claimed)
+            for n, user in enumerate(users):
+                if n == 0:
+                    (parent_claimed if in_parent else child_claimed).touch()
+                on_user(user)
+                if n == 0 and not in_parent:
+                    wait_for(parent_claimed)
+                yield user
+
+        def ranking(train, profiles, beta, k, users=None):
+            return real(train, profiles, beta, k, None if users is None else hooked(users))
+
+        monkeypatch.setattr(experiment, "rank_ucf", ranking)
+
+    return install

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 
 import pytest
 
@@ -122,7 +123,37 @@ class TestChildFailures:
         assert not (out / "combined.json").exists()
 
 
+    def test_child_exit_during_its_ucf_share_is_one_line(self, corpus_path, tmp_path, usable_cpus, ucf_share,
+                                                         capsys, no_hang):
+        usable_cpus(2)
+        parent = os.getpid()
+
+        def exit_in_child(user):
+            if os.getpid() != parent:
+                os._exit(3)
+
+        ucf_share(exit_in_child)
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(corpus_path), "--output", str(out), *RUN_FLAGS]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "tagrec: error: the fcum run exited with code 3 without a result"]
+        assert multiprocessing.active_children() == []
+        assert not (out / "combined.json").exists()
+
+
 class TestRunCommand:
+    def test_modes_wall_time_printed_only_when_both_modes_ran(self, corpus_path, capsys):
+        for mode in ("both", "ucf"):
+            assert main(["run", "--input", str(corpus_path), "--mode", mode, *RUN_FLAGS]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            walls = [i for i, line in enumerate(lines) if line.startswith("modes wall time: ")]
+            if mode == "both":
+                (i,) = walls
+                assert lines[i - 1].startswith("fcum/ucf total time ratio: ")
+                assert re.fullmatch(r"modes wall time: \d+\.\d{3}s", lines[i])
+            else:
+                assert walls == []
+
     def test_writes_reports(self, corpus_path, tmp_path):
         out = tmp_path / "reports"
         code = main(["run", "--input", str(corpus_path), "--output", str(out), *RUN_FLAGS])

@@ -2,8 +2,11 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import random
 import threading
 import time
+from itertools import count, cycle, repeat
+from types import SimpleNamespace
 
 import pytest
 
@@ -215,9 +218,12 @@ class TestSideBySide:
             result = run_experiment(cfg)
             outputs[cpus] = _untimed_outputs(out)
             pids[cpus] = {mode: int((tmp_path / f"{mode}.pid").read_text()) for mode in ("ucf", "fcum")}
-            totals = [report.timing["total_seconds"] for report in result.reports.values()]
-            # the modes' wall time covers their sum when they ran in turn, their maximum when not
-            assert result.modes_wall_seconds >= (sum(totals) if cpus == 1 else max(totals))
+            ucf_total, fcum_total = (result.reports[mode].timing["total_seconds"] for mode in ("ucf", "fcum"))
+            if cpus == 1:  # the modes' wall time covers their sum when they ran in turn
+                assert result.modes_wall_seconds >= ucf_total + fcum_total
+            else:  # the child's timed spans lie inside the modes' wall time, as do the parent's
+                assert fcum_total <= result.modes_wall_seconds
+                assert ucf_total + fcum_total <= 2 * result.modes_wall_seconds
             timing = json.loads((out / "combined.json").read_text(encoding="utf-8"))["timing"]
             assert timing["modes_wall_seconds"] == round(result.modes_wall_seconds, 3)
             for path in out.iterdir():
@@ -229,6 +235,25 @@ class TestSideBySide:
         assert outputs[1] == outputs[2]
         assert pids[1] == {"ucf": os.getpid(), "fcum": os.getpid()}
         assert pids[2]["ucf"] == os.getpid() != pids[2]["fcum"]
+
+    def test_both_processes_rank_ucf_users_and_every_user_is_ranked(self, corpus_path, tmp_path, usable_cpus,
+                                                                     ucf_share, no_hang):
+        def record(user):
+            with open(tmp_path / f"{os.getpid()}.users", "a", encoding="utf-8") as fh:
+                fh.write(f"{user}\n")
+
+        ucf_share(record)
+        usable_cpus(1)
+        alone = run_experiment(config(corpus_path))
+        usable_cpus(2)
+        shared = run_experiment(config(corpus_path))
+        assert shared.reports["ucf"].per_k == alone.reports["ucf"].per_k
+        ranked = {int(path.stem): list(map(int, path.read_text().split())) for path in tmp_path.glob("*.users")}
+        front = ranked.pop(os.getpid())
+        (back,) = ranked.values()
+        n_users = shared.reports["ucf"].work["users"]
+        assert front == list(range(len(front))) and back == list(range(n_users - 1, n_users - 1 - len(back), -1))
+        assert front and back and set(front) | set(back) == set(range(n_users))
 
     def test_single_mode_never_forks(self, corpus_path, tmp_path, usable_cpus, monkeypatch):
         usable_cpus(2)
@@ -264,12 +289,99 @@ class TestSideBySide:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(experiment, "_run_mode", slow_fcum_and_interrupted_ucf)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            run_experiment(config(corpus_path))
-        assert time.monotonic() - start < 30
-        assert multiprocessing.active_children() == []
-        child = int(started.read_text())
-        assert child != os.getpid()
-        with pytest.raises(ProcessLookupError):  # terminated and reaped
-            os.kill(child, 0)
+        _assert_child_reaped_after(KeyboardInterrupt, config(corpus_path), started)
+
+    def test_parent_error_in_its_ucf_share_terminates_and_joins_the_child(self, corpus_path, tmp_path,
+                                                                          usable_cpus, ucf_share, no_hang):
+        usable_cpus(2)
+        parent, started = os.getpid(), tmp_path / "child.pid"
+
+        def busy_child_and_failing_parent(user):
+            if os.getpid() != parent:
+                started.write_text(str(os.getpid()))
+                time.sleep(120)
+            while not started.exists():
+                time.sleep(0.01)
+            raise RuntimeError("planted fault in the parent's share")
+
+        ucf_share(busy_child_and_failing_parent)
+        _assert_child_reaped_after(RuntimeError, config(corpus_path), started)
+
+
+def _assert_child_reaped_after(error, cfg, pid_file):
+    """Run ``cfg``, expect ``error`` promptly, and check that the child whose pid ``pid_file`` holds is gone."""
+    start = time.monotonic()
+    with pytest.raises(error):
+        run_experiment(cfg)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+    child = int(pid_file.read_text())
+    assert child != os.getpid()
+    with pytest.raises(ProcessLookupError):  # terminated and reaped
+        os.kill(child, 0)
+
+
+def _interleave(n, sides):
+    """Drive the front and back claimers over ``range(n)`` one claim at a time, as ``sides`` names them.
+
+    When the named claimer has stopped, the other one claims; returns each
+    one's claims once both have stopped.
+    """
+    lo, hi = SimpleNamespace(value=0), SimpleNamespace(value=n)
+    live = {"front": experiment._claim_front(lo, hi), "back": experiment._claim_back(lo, hi)}
+    claims = {"front": [], "back": []}
+    for side in sides:
+        if not live:
+            return claims
+        side = side if side in live else next(iter(live))
+        try:
+            claims[side].append(next(live[side]))
+        except StopIteration:
+            del live[side]
+
+
+def _claim_back_and_send(sender, lo, hi, ready):
+    ready.value = 1
+    sender.send(list(experiment._claim_back(lo, hi)))
+
+
+class TestClaims:
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 60])
+    def test_sequential_interleavings_claim_every_index_once(self, n):
+        rng = random.Random(n)
+        interleavings = {
+            "all-front": repeat("front"),
+            "all-back": repeat("back"),
+            "alternating": cycle(("front", "back")),
+            **{f"seeded-{i}": (rng.choice(("front", "back")) for _ in count()) for i in range(20)},
+        }
+        for name, sides in interleavings.items():
+            claims = _interleave(n, sides)
+            front, back = claims["front"], claims["back"]
+            assert front == list(range(len(front))), name
+            assert back == list(range(n - 1, n - 1 - len(back), -1)), name
+            assert len(front) + len(back) == n, name
+        assert _interleave(n, repeat("front"))["front"] == list(range(n))
+        assert _interleave(n, repeat("back"))["back"] == list(range(n - 1, -1, -1))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform cannot fork")
+    def test_two_processes_claiming_at_once_skip_no_index(self, no_hang):
+        context = multiprocessing.get_context("fork")
+        n = 200_000
+        for _ in range(3):
+            lo, hi, ready = context.RawValue("q", 0), context.RawValue("q", n), context.RawValue("q", 0)
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_claim_back_and_send, args=(sender, lo, hi, ready))
+            child.start()
+            sender.close()
+            try:
+                while not ready.value:  # start claiming together
+                    pass
+                front = list(experiment._claim_front(lo, hi))
+                back = receiver.recv()
+            finally:
+                child.join()
+                receiver.close()
+            assert front == list(range(len(front)))
+            assert back == list(range(n - 1, n - 1 - len(back), -1))
+            assert len(front) > 0 and set(front) | set(back) == set(range(n))

@@ -114,6 +114,16 @@ class TestRankUcf:
                 expected = sorted(((r, s) for r, s in direct if s >= 0.0), key=lambda e: (-e[1], e[0]))[:20]
                 assert list(ranklist.entries) == expected
 
+    def test_given_users_get_the_full_runs_ranklists_in_their_order(self):
+        rng = random.Random(23)
+        for _ in range(6):
+            g = random_graph(rng, max_users=30, max_items=400, max_tags=12, min_triples_per_user=30)
+            profiles = build_profiles(g)
+            full = rank_ucf(g, profiles, 0.5, k=20)
+            users = rng.sample(range(g.n_users), g.n_users // 2)
+            some = rank_ucf(g, profiles, 0.5, 20, iter(users))
+            assert list(some.items()) == [(u, full[u]) for u in users]
+
     def test_many_items_tied_at_the_kth_score_come_in_item_order(self):
         # 200 neighbours with identical similarity each add one unique item
         rows = [("u", "shared", "t", 0)]

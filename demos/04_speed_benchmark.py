@@ -44,7 +44,8 @@ def main():
     print(f"\nbaseline : score {ucf.timing['score_seconds']:.2f}s total {ucf.timing['total_seconds']:.2f}s")
     print(f"clustered: cluster {fcum.timing['cluster_seconds']:.2f}s "
           f"score {fcum.timing['score_seconds']:.2f}s total {fcum.timing['total_seconds']:.2f}s")
-    # with 2+ CPUs the modes overlap and FCUM's process then helps with UCF, whose time sums both processes'
+    # with 2+ CPUs a forked child ranks UCF's users while FCUM runs here, and this process then
+    # helps with UCF, whose time sums both processes'
     print(f"time ratio (clustered/baseline): {result.ratios['total_seconds']:.3f} "
           f"(both modes together: {result.modes_wall_seconds:.2f}s wall)")
     print(f"\nscored-work counters: clustered {fcum.work['scored_work']:.3e} "

@@ -4,12 +4,13 @@
 ``mode="both"`` the baseline and the clustered recommender share one split
 and one profile build, so their metrics are directly comparable; the
 combined report then also carries their ratios. When the process may use
-two or more CPUs, the two modes run at the same time: UCF in this process,
-FCUM in a forked child, which then ranks UCF's remaining target users from
-the other end. Each mode's timing is thus taken while the other process
-runs, and UCF's is the sum of both processes' ranking seconds, its cost on
-one core. With one CPU the modes run in turn. Each call of a ranking
-function stays single-threaded either way.
+two or more CPUs, the two modes run at the same time: a forked child ranks
+UCF's target users from one end while this process runs FCUM and then
+ranks UCF's remaining users from the other end. Each mode's timing is thus
+taken while the other process runs, and UCF's is the sum of both
+processes' ranking seconds, its cost on one core. With one CPU the modes
+run in turn. Each call of a ranking function stays single-threaded either
+way.
 """
 
 import dataclasses
@@ -108,15 +109,13 @@ def fcum_scored_work(clustering, train) -> int:
     return total
 
 
-def _run_mode(mode, split, profiles, cfg, kmax, users=None, helper=None):
-    """Time one run of one mode and evaluate its ranklists.
+def _rank(mode, split, profiles, cfg, kmax, users=None):
+    """Time one mode's ranking; return ``(clustering or None, ranklists, timing)``.
 
-    ``fcum`` clusters the users and then ranks within each cluster, and its
-    report carries the clustering's work counters; ``ucf`` ranks every user
-    against all users, so its clustering time is 0 and its score time is its
-    total time. ``ucf`` may share its target users with another process:
-    this one then ranks the ``users`` it claims, and ``helper()`` returns
-    the other's ranklists and ranking seconds, which join this process's.
+    ``fcum`` clusters the users and then ranks within each cluster; ``ucf``
+    ranks the given target ``users`` (every user by default) against all
+    users, so its clustering time is 0 and its score time is its total time.
+    This is the one timer of both modes.
     """
     train = split.train
     k_clusters = choose_k(train.n_users, cfg.avg_cluster_size) if mode == "fcum" else None
@@ -128,13 +127,13 @@ def _run_mode(mode, split, profiles, cfg, kmax, users=None, helper=None):
     else:
         clustering, ranklists = None, rank_ucf(train, profiles, cfg.beta, kmax, users)
     end = time.perf_counter()
-    helped_seconds = 0.0
-    if helper is not None:
-        helped, helped_seconds = helper()
-        ranklists.update(helped)
-        ranklists = {u: ranklists[u] for u in range(train.n_users)}  # every user, in a lone run's order
-    timing = {"cluster_seconds": mid - start, "score_seconds": end - mid + helped_seconds,
-              "total_seconds": end - start + helped_seconds}
+    return clustering, ranklists, {"cluster_seconds": mid - start, "score_seconds": end - mid,
+                                   "total_seconds": end - start}
+
+
+def _report(mode, split, cfg, clustering, ranklists, timing):
+    """Evaluate one mode's ranklists; return ``(report, ranklists)``, with any clustering's work counters."""
+    train = split.train
     work = {
         "users": train.n_users,
         "items": train.n_items,
@@ -155,7 +154,7 @@ def _run_mode(mode, split, profiles, cfg, kmax, users=None, helper=None):
         per_k=[metrics_at_k(ranklists, split.test_sets, k) for k in cfg.k_list],
         timing=timing,
         work=work,
-        config=dict(cfg.echo(), k_clusters=k_clusters),
+        config=dict(cfg.echo(), k_clusters=None if clustering is None else clustering.k),
     )
     return report, ranklists
 
@@ -221,73 +220,69 @@ def _claim_back(lo, hi):
         j -= 1
 
 
-def _fcum_child(sender, split, profiles, cfg, kmax, lo, hi):
-    """Body of the forked child: run FCUM, then rank UCF's users from the back, and send the outcome.
+def _ucf_child(sender, split, profiles, cfg, kmax, lo, hi):
+    """Body of the forked child: rank UCF's users from the back and send the outcome.
 
-    The message is ``(False, (FCUM result, UCF ranklists, UCF seconds))``,
-    or ``(True, exception)``.
+    The message is ``(False, (ranklists, timing))``, or ``(True, exception)``.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and terminates this child
     try:
-        fcum = _run_mode("fcum", split, profiles, cfg, kmax)
-        start = time.perf_counter()
-        ranklists = rank_ucf(split.train, profiles, cfg.beta, kmax, _claim_back(lo, hi))
-        message = (False, (fcum, ranklists, time.perf_counter() - start))
+        _, ranklists, timing = _rank("ucf", split, profiles, cfg, kmax, _claim_back(lo, hi))
+        message = (False, (ranklists, timing))
     except Exception as exc:
         message = (True, exc)
     sender.send(message)
 
 
 def _run_side_by_side(split, profiles, cfg, kmax) -> dict:
-    """Run UCF here while a forked child runs FCUM, then helps with UCF; return ``{mode: (report, ranklists)}``.
+    """Run FCUM here while a forked child ranks UCF's users; return ``{mode: (report, ranklists)}``.
 
     UCF's target users are shared through two integers in shared memory:
-    this process claims users from the front (``lo`` rises), the child from
-    the back once its FCUM is done (``hi`` falls). Each process writes only
-    its own end, and as the ends only move towards each other, a stale read
-    of the other's end only makes a process stop later. So no user is
-    skipped, only where the ends meet can a user be ranked twice (to the
-    same ranklist), and there is no lock that a dying child could leave held.
+    the child claims users from the back as soon as it starts (``hi``
+    falls), this process from the front once its FCUM is done (``lo``
+    rises). Each process writes only its own end, and as the ends only move
+    towards each other, a stale read of the other's end only makes a process
+    stop later. So no user is skipped, only where the ends meet can a user
+    be ranked twice (to the same ranklist), and there is no lock that a
+    dying child could leave held. UCF's timing is the sum of both
+    processes' timings, its cost on one core.
 
-    The child inherits the split and profiles and sends its result back over
-    a one-way pipe. An exception raised in the child is raised here with its
-    type and message; a child that exits without a result raises
-    ``ChildProcessError`` once this process has ranked its share. The child
-    is always joined, and is terminated if anything here fails,
-    ``KeyboardInterrupt`` included.
+    The child inherits the split and profiles and sends its ranklists and
+    timing back over a one-way pipe. An exception raised in the child is
+    raised here with its type and message; a child that exits without a
+    result raises ``ChildProcessError`` once this process has ranked its
+    share. The child is always joined, and is terminated if anything here
+    fails, ``KeyboardInterrupt`` included.
     """
     import multiprocessing  # here only: at module level it adds ~1 MiB to the peak RSS of every run
 
     context = multiprocessing.get_context("fork")
     lo, hi = context.RawValue("q", 0), context.RawValue("q", split.train.n_users)
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_fcum_child, args=(sender, split, profiles, cfg, kmax, lo, hi))
+    child = context.Process(target=_ucf_child, args=(sender, split, profiles, cfg, kmax, lo, hi))
     child.start()
     sender.close()  # so the child's exit without a result reads as end of file
-    fcum = None
-
-    def child_share():
-        nonlocal fcum
+    try:
+        fcum = _report("fcum", split, cfg, *_rank("fcum", split, profiles, cfg, kmax))
+        _, ranklists, timing = _rank("ucf", split, profiles, cfg, kmax, _claim_front(lo, hi))
         try:
             failed, outcome = receiver.recv()
         except EOFError:
             child.join()
-            message = f"the fcum run exited with code {child.exitcode} without a result"
+            message = f"the ucf child exited with code {child.exitcode} without a result"
             raise ChildProcessError(message) from None
         if failed:
             raise outcome
-        fcum, ranklists, seconds = outcome
-        return ranklists, seconds
-
-    try:
-        ucf = _run_mode("ucf", split, profiles, cfg, kmax, _claim_front(lo, hi), child_share)
     except BaseException:
         child.terminate()
         raise
     finally:
         child.join()
         receiver.close()
-    return {"ucf": ucf, "fcum": fcum}
+    child_ranklists, child_timing = outcome
+    ranklists.update(child_ranklists)
+    timing = {key: seconds + child_timing[key] for key, seconds in timing.items()}
+    return {"ucf": _report("ucf", split, cfg, None, ranklists, timing), "fcum": fcum}
 
 
 def _run_prepared(cfg: ExperimentConfig, prepared) -> ExperimentResult:
@@ -303,7 +298,7 @@ def _run_prepared(cfg: ExperimentConfig, prepared) -> ExperimentResult:
     if side_by_side:
         runs = _run_side_by_side(split, profiles, cfg, kmax)
     else:
-        runs = {mode: _run_mode(mode, split, profiles, cfg, kmax) for mode in modes}
+        runs = {mode: _report(mode, split, cfg, *_rank(mode, split, profiles, cfg, kmax)) for mode in modes}
     modes_wall_seconds = time.perf_counter() - start
 
     reports = {mode: report for mode, (report, _) in runs.items()}
@@ -334,8 +329,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     also carries fcum/ucf timing and metric ratios, and both algorithms see
     the identical split and profiles. ``modes_wall_seconds`` is the time
     from the start of the modes until all have finished. It covers the sum
-    of the modes' times when they ran in turn; side by side, it covers
-    FCUM's time and half that sum, as both processes' timed spans lie in it.
+    of the modes' times when they ran in turn. Side by side, where a forked
+    child ranks UCF's users while this process runs FCUM and then helps with
+    UCF, it covers FCUM's time and half the sum, as both processes' timed
+    spans lie in it.
     """
     return _run_prepared(cfg, prepare_corpus(cfg))
 
@@ -364,7 +361,8 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
     before the first run. The corpus is prepared once, unless the swept
     parameter is ``degree_threshold``, the only one that changes it.
     Individual runs do not write files; when ``cfg.output`` is set a
-    combined sweep report keyed by value is written instead.
+    combined sweep report keyed by value is written instead, once every
+    value has run, and its path is in the last result's ``written``.
     """
     if param not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
@@ -394,7 +392,7 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
             "runs": runs,
             "timing": timing,
         }
-        results[0].written.append(write_json(directory / "sweep.json", doc))
+        results[-1].written.append(write_json(directory / "sweep.json", doc))
     return results
 
 

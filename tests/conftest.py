@@ -57,8 +57,8 @@ def usable_cpus(monkeypatch):
     """Set the CPU count ``experiment`` sees, so a both-mode run takes either path on any host.
 
     ``usable_cpus(1)`` runs the two modes in turn in this process;
-    ``usable_cpus(2)`` runs FCUM in a forked child (the test is skipped where
-    the platform cannot fork).
+    ``usable_cpus(2)`` runs FCUM here while a forked child ranks UCF's users
+    (the test is skipped where the platform cannot fork).
     """
 
     def set_count(n):
@@ -89,9 +89,11 @@ def ucf_share(monkeypatch, tmp_path):
 
     ``ucf_share(on_user)`` wraps ``experiment.rank_ucf`` so that each target
     claimed from a shared range is passed to ``on_user(user)`` in the
-    claiming process before it is ranked. The child claims first; the parent
-    claims its first user only then, and the child goes on only after that,
-    so both processes take part however fast either one is.
+    claiming process before it is ranked. The forked child claims from the
+    back as soon as it starts, the parent from the front once its FCUM is
+    done. The child claims first; the parent claims its first user only
+    then, and the child goes on only after that, so both processes take part
+    however fast either one is.
     """
     parent, real = os.getpid(), experiment.rank_ucf
     child_claimed, parent_claimed = tmp_path / "child.claimed", tmp_path / "parent.claimed"

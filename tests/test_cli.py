@@ -98,24 +98,24 @@ def _raising(exc):
 
 
 class TestChildFailures:
-    """A both-mode run whose FCUM half fails in the forked child."""
+    """A both-mode run whose forked UCF child fails."""
 
     @pytest.mark.parametrize("action, code, line", [
         (_raising(DataError("planted data fault")), 2, "tagrec: data error: planted data fault"),
         (_raising(ValueError("planted value fault")), 1, "tagrec: error: planted value fault"),
-        (lambda: os._exit(3), 2, "tagrec: error: the fcum run exited with code 3 without a result"),
+        (lambda: os._exit(3), 2, "tagrec: error: the ucf child exited with code 3 without a result"),
     ], ids=["data-error", "value-error", "exit-3"])
     def test_maps_to_its_exit_code_with_one_line(self, action, code, line, corpus_path, tmp_path,
                                                  usable_cpus, monkeypatch, capsys, no_hang):
         usable_cpus(2)
-        parent, real = os.getpid(), experiment._run_mode
+        parent, real = os.getpid(), experiment._rank
 
         def failing_in_child(mode, *args):
-            if mode == "fcum" and os.getpid() != parent:
+            if mode == "ucf" and os.getpid() != parent:
                 action()
             return real(mode, *args)
 
-        monkeypatch.setattr(experiment, "_run_mode", failing_in_child)
+        monkeypatch.setattr(experiment, "_rank", failing_in_child)
         out = tmp_path / "out"
         assert main(["run", "--input", str(corpus_path), "--output", str(out), *RUN_FLAGS]) == code
         assert capsys.readouterr().err.splitlines() == [line]
@@ -136,7 +136,7 @@ class TestChildFailures:
         out = tmp_path / "out"
         assert main(["run", "--input", str(corpus_path), "--output", str(out), *RUN_FLAGS]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "tagrec: error: the fcum run exited with code 3 without a result"]
+            "tagrec: error: the ucf child exited with code 3 without a result"]
         assert multiprocessing.active_children() == []
         assert not (out / "combined.json").exists()
 
@@ -238,6 +238,8 @@ class TestSweepCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert "--- iterations=1" in text and "--- iterations=2" in text
+        lines, wrote = text.splitlines(), f"wrote {out / 'sweep.json'}"
+        assert lines.count(wrote) == 1 and lines[-1] == wrote  # once, after the last value's block
         doc = json.loads((out / "sweep.json").read_text())
         assert doc["values"] == [1, 2]
 

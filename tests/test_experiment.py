@@ -184,14 +184,23 @@ class TestSweep:
 
 
 def _record_pids(monkeypatch, directory):
-    """Make each ``_run_mode`` call write the pid that ran it to ``<directory>/<mode>.pid``."""
-    real = experiment._run_mode
+    """Make each ``_rank`` call append the pid that ran it to ``<directory>/<mode>.pids``."""
+    real = experiment._rank
 
     def recording(mode, *args):
-        (directory / f"{mode}.pid").write_text(str(os.getpid()))
+        with open(directory / f"{mode}.pids", "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
         return real(mode, *args)
 
-    monkeypatch.setattr(experiment, "_run_mode", recording)
+    monkeypatch.setattr(experiment, "_rank", recording)
+
+
+def _pids(directory, mode):
+    """The pids that ranked ``mode``, as ``_record_pids`` recorded them, and forget them."""
+    path = directory / f"{mode}.pids"
+    pids = list(map(int, path.read_text().split()))
+    path.unlink()
+    return pids
 
 
 def _untimed_outputs(directory):
@@ -217,7 +226,7 @@ class TestSideBySide:
             usable_cpus(cpus)
             result = run_experiment(cfg)
             outputs[cpus] = _untimed_outputs(out)
-            pids[cpus] = {mode: int((tmp_path / f"{mode}.pid").read_text()) for mode in ("ucf", "fcum")}
+            pids[cpus] = {mode: _pids(tmp_path, mode) for mode in ("ucf", "fcum")}
             ucf_total, fcum_total = (result.reports[mode].timing["total_seconds"] for mode in ("ucf", "fcum"))
             if cpus == 1:  # the modes' wall time covers their sum when they ran in turn
                 assert result.modes_wall_seconds >= ucf_total + fcum_total
@@ -233,8 +242,9 @@ class TestSideBySide:
                                for kind in ("report.txt", "report.json", "ranklists.tsv")),
         }
         assert outputs[1] == outputs[2]
-        assert pids[1] == {"ucf": os.getpid(), "fcum": os.getpid()}
-        assert pids[2]["ucf"] == os.getpid() != pids[2]["fcum"]
+        assert pids[1] == {"ucf": [os.getpid()], "fcum": [os.getpid()]}
+        assert pids[2]["fcum"] == [os.getpid()]  # FCUM runs here; a forked child and this process share UCF
+        assert len(pids[2]["ucf"]) == len(set(pids[2]["ucf"])) == 2 and os.getpid() in pids[2]["ucf"]
 
     def test_both_processes_rank_ucf_users_and_every_user_is_ranked(self, corpus_path, tmp_path, usable_cpus,
                                                                      ucf_share, no_hang):
@@ -260,7 +270,7 @@ class TestSideBySide:
         _record_pids(monkeypatch, tmp_path)
         for mode in ("ucf", "fcum"):
             run_experiment(config(corpus_path, mode=mode))
-            assert int((tmp_path / f"{mode}.pid").read_text()) == os.getpid()
+            assert _pids(tmp_path, mode) == [os.getpid()]
 
     def test_no_fork_while_another_thread_runs(self, corpus_path, tmp_path, usable_cpus, monkeypatch):
         usable_cpus(2)
@@ -273,22 +283,22 @@ class TestSideBySide:
         finally:
             release.set()
             waiter.join()
-        assert int((tmp_path / "fcum.pid").read_text()) == os.getpid()
+        assert _pids(tmp_path, "ucf") == _pids(tmp_path, "fcum") == [os.getpid()]
 
     def test_interrupt_terminates_and_joins_the_child(self, corpus_path, tmp_path, usable_cpus, monkeypatch,
                                                       no_hang):
         usable_cpus(2)
-        started = tmp_path / "fcum.pid"
+        started = tmp_path / "ucf.pid"
 
-        def slow_fcum_and_interrupted_ucf(mode, *args):
-            if mode == "fcum":
+        def slow_ucf_and_interrupted_fcum(mode, *args):
+            if mode == "ucf":  # only the child gets here: this process fails in FCUM first
                 started.write_text(str(os.getpid()))
                 time.sleep(120)
             while not started.exists():  # interrupt only once the child is busy
                 time.sleep(0.01)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(experiment, "_run_mode", slow_fcum_and_interrupted_ucf)
+        monkeypatch.setattr(experiment, "_rank", slow_ucf_and_interrupted_fcum)
         _assert_child_reaped_after(KeyboardInterrupt, config(corpus_path), started)
 
     def test_parent_error_in_its_ucf_share_terminates_and_joins_the_child(self, corpus_path, tmp_path,

@@ -3,13 +3,14 @@
 Input data is TSV with four columns (user, item, tag, timestamp), one
 interaction per line. Each line is interned straight into a
 ``(user, item, tag, timestamp)`` quad of dense integer indices, assigned in
-first-appearance order; the graph keeps the deduplicated quads plus the two
-user-side projections (items per user, tags per user) that the profile and
-clustering stages consume. Filtering and splitting stay in that integer
-space: they keep a subsequence of the quads and renumber the surviving ids
-compactly, in first-appearance order, which yields the same tables as
-interning the surviving records afresh. ``Interaction`` records with
-external string ids appear only where records are read or written.
+first-appearance order; the graph keeps the deduplicated quads, and builds
+the two user-side projections (items per user, tags per user) that the
+split, profile and clustering stages read only when first asked for them.
+Filtering and splitting stay in that integer space: they keep a subsequence
+of the quads and renumber the surviving ids compactly, in first-appearance
+order, which yields the same tables as interning the surviving records
+afresh. ``Interaction`` records with external string ids appear only where
+records are read or written.
 """
 
 import contextlib
@@ -92,19 +93,31 @@ class TripartiteGraph:
     """Interned users/items/tags plus the triple store and user projections.
 
     ``user_items[u]`` / ``user_tags[u]`` hold the distinct item / tag indices
-    occurring in any of user ``u``'s triples. Every dense index is referenced
-    by at least one triple; construction guarantees this.
+    occurring in any of user ``u``'s triples, built on first read. Every dense
+    index is referenced by at least one triple; construction guarantees this.
     """
 
-    __slots__ = ("users", "items", "tags", "triples", "user_items", "user_tags")
+    __slots__ = ("users", "items", "tags", "triples", "_projections")
 
-    def __init__(self, users, items, tags, triples, user_items, user_tags):
+    def __init__(self, users, items, tags, triples):
         self.users: IdTable = users
         self.items: IdTable = items
         self.tags: IdTable = tags
         self.triples: list[tuple[int, int, int, int]] = triples
-        self.user_items: list[set[int]] = user_items
-        self.user_tags: list[set[int]] = user_tags
+        self._projections: tuple[list[set[int]], list[set[int]]] | None = None
+
+    def _projected(self) -> tuple[list[set[int]], list[set[int]]]:
+        if self._projections is None:
+            user_items = [set() for _ in range(self.n_users)]
+            user_tags = [set() for _ in range(self.n_users)]
+            for u, r, t, _ in self.triples:
+                user_items[u].add(r)
+                user_tags[u].add(t)
+            self._projections = user_items, user_tags
+        return self._projections
+
+    user_items = property(lambda self: self._projected()[0], doc="Each user's distinct item indices.")
+    user_tags = property(lambda self: self._projected()[1], doc="Each user's distinct tag indices.")
 
     @property
     def n_users(self) -> int:
@@ -239,17 +252,7 @@ def _intern(records) -> TripartiteGraph:
         (users.setdefault(u, len(users)), items.setdefault(r, len(items)), tags.setdefault(t, len(tags)), ts)
         for u, r, t, ts in records
     )
-    return _with_projections(IdTable(users), IdTable(items), IdTable(tags), list(quads))
-
-
-def _with_projections(users, items, tags, triples) -> TripartiteGraph:
-    """The graph over the given tables and index quads, with its user projections."""
-    user_items = [set() for _ in range(len(users))]
-    user_tags = [set() for _ in range(len(users))]
-    for u, r, t, _ in triples:
-        user_items[u].add(r)
-        user_tags[u].add(t)
-    return TripartiteGraph(users, items, tags, triples, user_items, user_tags)
+    return TripartiteGraph(IdTable(users), IdTable(items), IdTable(tags), list(quads))
 
 
 def _remap(graph: TripartiteGraph, quads):
@@ -270,7 +273,7 @@ def _remap(graph: TripartiteGraph, quads):
         maps.append(new)
     new_u, new_r, new_t = maps
     triples = [(new_u[u], new_r[r], new_t[t], ts) for u, r, t, ts in quads]
-    return _with_projections(*tables, triples), new_u, new_r
+    return TripartiteGraph(*tables, triples), new_u, new_r
 
 
 def filter_by_degree(graph: TripartiteGraph, threshold: int) -> TripartiteGraph:

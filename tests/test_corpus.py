@@ -6,6 +6,7 @@ import pytest
 from tagrec.corpus import (
     DataError,
     Interaction,
+    TripartiteGraph,
     build_graph,
     filter_by_degree,
     parse_triples,
@@ -15,6 +16,9 @@ from tagrec.corpus import (
     temporal_split,
     write_triples,
 )
+
+from tagrec.experiment import ExperimentConfig, prepare_corpus
+from tagrec.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import make_graph
 from oracles import naive_filter_by_degree, naive_temporal_split, random_graph
@@ -292,6 +296,50 @@ class TestAgainstStringOracle:
             } == want_sets
             checked_splits += 1
         assert checked_splits >= 100
+
+
+def _user_sets(graph, column):
+    """Each user's distinct ``column`` values (1 items, 2 tags), gathered from the triples one user at a time."""
+    return [{q[column] for q in graph.triples if q[0] == u} for u in range(graph.n_users)]
+
+
+class TestLazyProjections:
+    def test_graphs_from_read_filter_and_split_project_their_triples(self, tmp_path):
+        rng = random.Random(2718)
+        path = tmp_path / "corpus.tsv"
+        graphs = 0
+        for case in range(60):
+            g = random_graph(rng, max_users=25, max_items=30, max_tags=15, min_triples_per_user=2 + case % 3)
+            write_triples(g.interactions(), path)
+            read = read_graph(path)
+            filtered = filter_by_degree(read, case % 3)
+            built = [read, filtered]
+            try:
+                built.append(temporal_split(filtered, rng.choice([0.5, 0.8])).train)
+            except DataError:
+                pass
+            for graph in built:
+                if case % 2:  # either projection may be read first
+                    assert graph.user_tags == _user_sets(graph, 2)
+                assert graph.user_items == _user_sets(graph, 1)
+                assert graph.user_tags == _user_sets(graph, 2)
+                graphs += 1
+        assert graphs >= 150
+
+    def test_prepare_corpus_builds_projections_for_the_train_graph_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.tsv"
+        generate_synthetic(SyntheticSpec(n_users=40, n_items=200, n_tags=80, triples_per_user=24, seed=7), path)
+        built, real = [], TripartiteGraph._projected
+
+        def counting(graph):
+            if graph._projections is None:
+                built.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(TripartiteGraph, "_projected", counting)
+        filtered, split, profiles = prepare_corpus(ExperimentConfig(input=str(path), degree_threshold=2))
+        assert len(built) == 1 and built[0] is split.train
+        assert len(profiles) == split.train.n_users and filtered.n_triples > split.train.n_triples
 
 
 class TestRoundTrip:

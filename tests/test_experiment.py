@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -329,6 +330,85 @@ def _assert_child_reaped_after(error, cfg, pid_file):
     assert child != os.getpid()
     with pytest.raises(ProcessLookupError):  # terminated and reaped
         os.kill(child, 0)
+
+
+ENTRIES = {
+    "run": run_experiment,
+    "sweep": lambda cfg: sweep(cfg, "iterations", [1, 2]),
+    "threshold-sweep": lambda cfg: sweep(cfg, "degree_threshold", [cfg.degree_threshold, 1]),
+}
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_paused_while_ranking_here_and_in_the_child(self, entry, corpus_path, tmp_path, usable_cpus,
+                                                       monkeypatch):
+        usable_cpus(2)
+        real = experiment._rank
+
+        def recording(mode, *args):
+            with open(tmp_path / f"{os.getpid()}.enabled", "a", encoding="utf-8") as fh:
+                fh.write(f"{gc.isenabled()}\n")
+            return real(mode, *args)
+
+        monkeypatch.setattr(experiment, "_rank", recording)
+        assert gc.isenabled()
+        ENTRIES[entry](config(corpus_path))
+        assert gc.isenabled()
+        states = {int(path.stem): path.read_text().split() for path in tmp_path.glob("*.enabled")}
+        runs = 1 if entry == "run" else 2
+        assert states.pop(os.getpid()) == ["False"] * 2 * runs  # FCUM, then this process's UCF share
+        assert list(states.values()) == [["False"]] * runs  # a forked child per run ranks UCF once
+
+    @pytest.mark.parametrize("outcome", ["success", "data-error", "interrupt"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_an_enabled_collector_is_enabled_again(self, entry, outcome, corpus_path, usable_cpus, monkeypatch):
+        usable_cpus(1)
+        cfg = config(corpus_path)
+        if outcome == "data-error":
+            cfg = config(corpus_path, degree_threshold=10_000)
+        elif outcome == "interrupt":
+            monkeypatch.setattr(experiment, "_rank", _interrupt)
+        assert gc.isenabled()
+        if outcome == "success":
+            ENTRIES[entry](cfg)
+        else:
+            with pytest.raises(DataError if outcome == "data-error" else KeyboardInterrupt):
+                ENTRIES[entry](cfg)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_a_disabled_collector_stays_disabled(self, entry, corpus_path, usable_cpus):
+        usable_cpus(2)
+        gc.disable()
+        try:
+            ENTRIES[entry](config(corpus_path))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_run_leaves_as_many_cycles_on_a_small_corpus_as_on_a_large_one(self, cpus, tmp_path, usable_cpus):
+        """The pause is safe only while a run leaves no reference cycle per record, user or target."""
+        usable_cpus(cpus)
+        cycles = []
+        for n_users in (120, 120, 480):  # the first run also imports what a run needs
+            path = tmp_path / f"{n_users}.tsv"
+            generate_synthetic(SyntheticSpec(n_users=n_users, n_items=5 * n_users, n_tags=2 * n_users,
+                                             n_communities=4, triples_per_user=24, seed=5), path)
+            cfg = config(path, output=str(tmp_path / "out"), dump_ranklists=True)
+            gc.collect()
+            gc.disable()
+            try:
+                run_experiment(cfg)
+                cycles.append(gc.collect())
+            finally:
+                gc.enable()
+        assert cycles[1] == cycles[2]
+
+
+def _interrupt(mode, *args):
+    raise KeyboardInterrupt
 
 
 def _interleave(n, sides):

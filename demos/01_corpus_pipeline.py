@@ -43,8 +43,9 @@ def main():
     graph = build_graph(records)
     print(graph)
     ann = graph.users.index_of("ann")
-    print("ann's items:", sorted(graph.items.id_of(r) for r in graph.user_items[ann]))
-    print("ann's tags: ", sorted(graph.tags.id_of(t) for t in graph.user_tags[ann]))
+    anns = [quad for quad in graph.triples if quad[0] == ann]
+    print("ann's items:", sorted({graph.items.id_of(r) for _, r, _, _ in anns}))
+    print("ann's tags: ", sorted({graph.tags.id_of(t) for _, _, t, _ in anns}))
 
     print("\n== 3. iterative degree filtering (threshold 2)")
     print("dan has a single interaction, so dan, oneshot.io and the misc tag all go,")

@@ -1,4 +1,4 @@
-"""Timing comparison of the baseline and the clustered recommender.
+"""Timing comparison of the baseline and the clustered recommender, with the run's peak memory.
 
 By default this runs a quarter-size corpus and finishes in well under a
 minute; pass --full for the full benchmark corpus (a few minutes, matching
@@ -13,6 +13,11 @@ from pathlib import Path
 
 from tagrec import ExperimentConfig, run_experiment
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
+
+try:
+    import resource
+except ImportError:  # not available on Windows
+    resource = None
 
 
 def main():
@@ -54,6 +59,11 @@ def main():
     print(f"\n{'k':>3} {'recall ratio':>13} {'f1 ratio':>9}   (clustered / baseline)")
     for k in (5, 10, 20):
         print(f"{k:>3} {result.ratios['recall'][str(k)]:>13.3f} {result.ratios['f1'][str(k)]:>9.3f}")
+    if resource is not None:
+        # the larger peak of this process and of its waited-for children, such as the forked UCF ranker;
+        # ru_maxrss is in bytes on macOS and in KiB elsewhere
+        peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        print(f"\npeak resident memory: {peak / (1 << 20 if sys.platform == 'darwin' else 1 << 10):.1f} MiB")
 
 
 if __name__ == "__main__":

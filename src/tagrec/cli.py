@@ -219,7 +219,7 @@ def _cmd_split(args) -> int:
 def _cmd_cluster(args) -> int:
     _check_output(args.output, directory=False)
     cfg = _corpus_config(args)
-    _, split, profiles = prepare_corpus(cfg)
+    split, profiles = prepare_corpus(cfg)[1:]
     k = choose_k(split.train.n_users, cfg.avg_cluster_size)
     clustering = coarse_cluster(split.train, profiles, k, cfg.iterations, cfg.gamma, cfg.seed)
     write_clustering(clustering, split.train, args.output)

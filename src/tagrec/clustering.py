@@ -39,7 +39,7 @@ __all__ = [
     "compute_centroid",
     "user_centroid_similarity",
     "coarse_cluster",
-    "cluster_tag_count",
+    "cluster_tag_counts",
     "write_clustering",
 ]
 
@@ -282,9 +282,13 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
     )
 
 
-def cluster_tag_count(clustering: Clustering, train, j: int) -> int:
-    """Number of distinct tags used by cluster ``j``'s members."""
-    return len(set(chain.from_iterable(map(train.user_tags.__getitem__, clustering.user_clusters[j]))))
+def cluster_tag_counts(clustering: Clustering, train) -> list[int]:
+    """Number of distinct tags used by each cluster's members, from one pass over ``train.triples``."""
+    tags = [set() for _ in range(clustering.k)]
+    cluster_of = clustering.assignment
+    for u, _, t, _ in train.triples:
+        tags[cluster_of[u]].add(t)
+    return list(map(len, tags))
 
 
 def write_clustering(clustering: Clustering, train, path) -> None:

@@ -3,14 +3,14 @@
 Input data is TSV with four columns (user, item, tag, timestamp), one
 interaction per line. Each line is interned straight into a
 ``(user, item, tag, timestamp)`` quad of dense integer indices, assigned in
-first-appearance order; the graph keeps the deduplicated quads, and builds
-the two user-side projections (items per user, tags per user) that the
-split, profile and clustering stages read only when first asked for them.
-Filtering and splitting stay in that integer space: they keep a subsequence
-of the quads and renumber the surviving ids compactly, in first-appearance
-order, which yields the same tables as interning the surviving records
-afresh. ``Interaction`` records with external string ids appear only where
-records are read or written.
+first-appearance order; the graph keeps the deduplicated quads and nothing
+per user. The profiles of ``profiles.build_profiles`` are the one user-side
+copy of the training data, and the split gathers what it needs one user at
+a time. Filtering and splitting stay in that integer space: they keep a
+subsequence of the quads and renumber the surviving ids compactly, in
+first-appearance order, which yields the same tables as interning the
+surviving records afresh. ``Interaction`` records with external string ids
+appear only where records are read or written.
 """
 
 import contextlib
@@ -90,34 +90,19 @@ class IdTable:
 
 
 class TripartiteGraph:
-    """Interned users/items/tags plus the triple store and user projections.
+    """Interned users/items/tags plus the triple store.
 
-    ``user_items[u]`` / ``user_tags[u]`` hold the distinct item / tag indices
-    occurring in any of user ``u``'s triples, built on first read. Every dense
-    index is referenced by at least one triple; construction guarantees this.
+    Every dense index is referenced by at least one triple; construction
+    guarantees this.
     """
 
-    __slots__ = ("users", "items", "tags", "triples", "_projections")
+    __slots__ = ("users", "items", "tags", "triples")
 
     def __init__(self, users, items, tags, triples):
         self.users: IdTable = users
         self.items: IdTable = items
         self.tags: IdTable = tags
         self.triples: list[tuple[int, int, int, int]] = triples
-        self._projections: tuple[list[set[int]], list[set[int]]] | None = None
-
-    def _projected(self) -> tuple[list[set[int]], list[set[int]]]:
-        if self._projections is None:
-            user_items = [set() for _ in range(self.n_users)]
-            user_tags = [set() for _ in range(self.n_users)]
-            for u, r, t, _ in self.triples:
-                user_items[u].add(r)
-                user_tags[u].add(t)
-            self._projections = user_items, user_tags
-        return self._projections
-
-    user_items = property(lambda self: self._projected()[0], doc="Each user's distinct item indices.")
-    user_tags = property(lambda self: self._projected()[1], doc="Each user's distinct tag indices.")
 
     @property
     def n_users(self) -> int:
@@ -292,8 +277,7 @@ def filter_by_degree(graph: TripartiteGraph, threshold: int) -> TripartiteGraph:
     # largest set of triples in which each node's degree reaches the threshold.
     live = graph.triples
     while threshold and live:
-        columns = [list(map(itemgetter(c), live)) for c in range(3)]
-        degrees = [Counter(column) for column in columns]
+        degrees = [Counter(map(itemgetter(c), live)) for c in range(3)]
         low_u, low_r, low_t = ({x for x, d in deg.items() if d < threshold} for deg in degrees)
         if not (low_u or low_r or low_t):
             break
@@ -349,39 +333,34 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
 
     triples = graph.triples
     per_user = [[] for _ in range(graph.n_users)]
-    for tid, (u, r, t, ts) in enumerate(triples):
-        per_user[u].append((ts, r, t, tid))
+    for tid, u in enumerate(map(itemgetter(0), triples)):
+        per_user[u].append(tid)
 
     held = [False] * len(triples)
-    for u, recs in enumerate(per_user):
-        if len(recs) < 2:
+    test_items = []  # per user, the old ids of its test set's items
+    for u, tids in enumerate(per_user):
+        if len(tids) < 2:
             raise DataError(
-                f"user {graph.users.id_of(u)!r} has {len(recs)} triple(s); need at least 2 to split"
+                f"user {graph.users.id_of(u)!r} has {len(tids)} triple(s); need at least 2 to split"
             )
-        recs.sort()
-        n_test = math.ceil((1.0 - ratio) * len(recs))
-        n_test = max(1, min(n_test, len(recs) - 1))
-        for rec in recs[len(recs) - n_test :]:
-            held[rec[3]] = True
+        tids.sort(key=lambda tid: (triples[tid][3], triples[tid][1], triples[tid][2]))
+        n_test = math.ceil((1.0 - ratio) * len(tids))
+        n_train = len(tids) - max(1, min(n_test, len(tids) - 1))
+        tested = set()
+        for tid in tids[n_train:]:
+            held[tid] = True
+            tested.add(triples[tid][1])
+        # when every test item was already trained on, keep them all so the set is non-empty
+        test_items.append(tested.difference(triples[tid][1] for tid in tids[:n_train]) or tested)
+    del per_user  # freed before the train graph is built
 
     test_quads = list(compress(triples, held))
     train, user_map, item_map = _remap(graph, compress(triples, map(not_, held)))
-
-    test_items = {}
-    for u, r, _, _ in test_quads:
-        test_items.setdefault(u, set()).add(r)
-
-    test_sets = {}
-    for old_u, old_items in test_items.items():
-        u = user_map[old_u]
-        reachable = {item_map[r] for r in old_items if item_map[r] is not None}
-        unreachable = frozenset(graph.items.id_of(r) for r in old_items if item_map[r] is None)
-        fresh = reachable - train.user_items[u]
-        if fresh or unreachable:
-            test_sets[u] = TestSet(frozenset(fresh), unreachable)
-        else:
-            # every test item was already trained on; keep them so the set is non-empty
-            test_sets[u] = TestSet(frozenset(reachable), frozenset())
+    test_sets = {
+        user_map[u]: TestSet(frozenset(item_map[r] for r in old_items if item_map[r] is not None),
+                             frozenset(graph.items.id_of(r) for r in old_items if item_map[r] is None))
+        for u, old_items in enumerate(test_items)
+    }
 
     users, items, tags = list(graph.users), list(graph.items), list(graph.tags)
     test_triples = [Interaction(users[u], items[r], tags[t], ts) for u, r, t, ts in test_quads]

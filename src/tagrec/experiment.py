@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clustering import choose_k, cluster_tag_count, coarse_cluster
+from .clustering import choose_k, cluster_tag_counts, coarse_cluster
 from .corpus import DataError, filter_by_degree, read_graph, temporal_split
 from .evaluate import EvalReport, metrics_at_k, report_dict, write_json, write_report
 from .profiles import build_profiles
@@ -104,14 +104,9 @@ def ucf_scored_work(train) -> int:
 
 
 def fcum_scored_work(clustering, train) -> int:
-    """Per-cluster work counter summed over non-empty clusters."""
-    total = 0
-    for j, members in enumerate(clustering.user_clusters):
-        n_j = len(members)
-        if n_j == 0:
-            continue
-        total += n_j * (n_j * len(clustering.item_clusters[j]) + cluster_tag_count(clustering, train, j))
-    return total
+    """Per-cluster work counter summed over clusters: n_j * (n_j * pool size + distinct tags), 0 if empty."""
+    clusters = zip(clustering.user_clusters, clustering.item_clusters, cluster_tag_counts(clustering, train))
+    return sum(len(members) * (len(members) * len(pool) + n_tags) for members, pool, n_tags in clusters)
 
 
 def _rank(mode, split, profiles, cfg, kmax, users=None):
@@ -185,8 +180,7 @@ def _ratios(reports, k_list) -> dict:
 
 def split_corpus(cfg: ExperimentConfig):
     """Parse, filter and split the corpus; return ``(filtered, split)``."""
-    graph = read_graph(cfg.input)
-    filtered = filter_by_degree(graph, cfg.degree_threshold)
+    filtered = filter_by_degree(read_graph(cfg.input), cfg.degree_threshold)  # frees the parsed graph
     if filtered.n_triples == 0:
         raise DataError(
             f"degree threshold {cfg.degree_threshold} removed every triple; try a lower --degree-threshold"
@@ -195,7 +189,7 @@ def split_corpus(cfg: ExperimentConfig):
 
 
 def prepare_corpus(cfg: ExperimentConfig):
-    """Shared front half of the pipeline: ``split_corpus``, then the profiles."""
+    """Shared front half of the pipeline: ``split_corpus``, then the profiles; returns all three."""
     filtered, split = split_corpus(cfg)
     return filtered, split, build_profiles(split.train)
 
@@ -302,9 +296,8 @@ def _run_side_by_side(split, profiles, cfg, kmax) -> dict:
     return {"ucf": _report("ucf", split, cfg, None, ranklists, timing), "fcum": fcum}
 
 
-def _run_prepared(cfg: ExperimentConfig, prepared) -> ExperimentResult:
-    """``run_experiment`` on the ``(filtered, split, profiles)`` of ``prepare_corpus(cfg)``."""
-    _, split, profiles = prepared
+def _run_prepared(cfg: ExperimentConfig, split, profiles) -> ExperimentResult:
+    """``run_experiment`` on the split and profiles of ``prepare_corpus(cfg)``."""
     kmax = max(cfg.k_list)
     modes = [mode for mode in ("ucf", "fcum") if cfg.mode in (mode, "both")]
 
@@ -352,7 +345,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     spans lie in it.
     """
     with _collector_paused():
-        return _run_prepared(cfg, prepare_corpus(cfg))
+        split, profiles = prepare_corpus(cfg)[1:]  # binds no name to the filtered graph, so it is freed here
+        return _run_prepared(cfg, split, profiles)
 
 
 def _result_docs(result: ExperimentResult) -> tuple[dict, dict]:
@@ -395,8 +389,8 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
         if param == "degree_threshold":
             results = [run_experiment(run_cfg) for run_cfg in run_cfgs]
         else:
-            prepared = prepare_corpus(cfg)
-            results = [_run_prepared(run_cfg, prepared) for run_cfg in run_cfgs]
+            split, profiles = prepare_corpus(cfg)[1:]
+            results = [_run_prepared(run_cfg, split, profiles) for run_cfg in run_cfgs]
 
         if cfg.output is not None:
             directory = Path(cfg.output)

@@ -1,9 +1,12 @@
 """Binary user incidence profiles and the similarity kernel over them.
 
-A profile holds a user's item set and tag set; both are binary vectors given
-as sets of indices. The cosine of two sets is |a & b| / sqrt(|a| * |b|), one
-square root over the product of the sizes, so self-similarity is exactly 1.0.
-``user_similarity`` mixes the item-side and tag-side cosines with ``beta``.
+A profile holds a user's distinct items and tags, binary vectors given as
+ascending tuples of indices; it is the one user-side copy of the training
+data that a run keeps. ``item_set`` and ``tag_set`` build a frozenset on
+each read, for callers that want sets. The cosine of two sets is
+|a & b| / sqrt(|a| * |b|), one square root over the product of the sizes,
+so self-similarity is exactly 1.0. ``user_similarity`` mixes the item-side
+and tag-side cosines with ``beta``.
 """
 
 import math
@@ -19,33 +22,36 @@ __all__ = [
 
 
 class UserProfile:
-    """Item and tag incidence sets for one user, with cached sorted views."""
+    """A user's distinct item and tag indices, each an ascending tuple."""
 
-    __slots__ = ("item_set", "tag_set", "items_sorted", "tags_sorted")
+    __slots__ = ("items_sorted", "tags_sorted")
 
-    def __init__(self, item_set, tag_set):
-        self.item_set: frozenset[int] = frozenset(item_set)
-        self.tag_set: frozenset[int] = frozenset(tag_set)
-        self.items_sorted: tuple[int, ...] = tuple(sorted(self.item_set))
-        self.tags_sorted: tuple[int, ...] = tuple(sorted(self.tag_set))
+    def __init__(self, items, tags):
+        self.items_sorted: tuple[int, ...] = tuple(sorted(set(items)))
+        self.tags_sorted: tuple[int, ...] = tuple(sorted(set(tags)))
+
+    item_set = property(lambda self: frozenset(self.items_sorted), doc="The item indices, a new frozenset.")
+    tag_set = property(lambda self: frozenset(self.tags_sorted), doc="The tag indices, a new frozenset.")
 
     def __eq__(self, other):
         return (
             isinstance(other, UserProfile)
-            and self.item_set == other.item_set
-            and self.tag_set == other.tag_set
+            and self.items_sorted == other.items_sorted
+            and self.tags_sorted == other.tags_sorted
         )
 
     def __repr__(self):
-        return f"UserProfile(items={len(self.item_set)}, tags={len(self.tag_set)})"
+        return f"UserProfile(items={len(self.items_sorted)}, tags={len(self.tags_sorted)})"
 
 
 def build_profiles(train) -> dict[int, UserProfile]:
-    """One profile per training-graph user, copied from the graph projections."""
-    return {
-        u: UserProfile(train.user_items[u], train.user_tags[u])
-        for u in range(train.n_users)
-    }
+    """One profile per training-graph user, gathered from the graph's triples."""
+    items = [[] for _ in range(train.n_users)]  # lists, not sets: a fraction of the memory
+    tags = [[] for _ in range(train.n_users)]
+    for u, r, t, _ in train.triples:
+        items[u].append(r)
+        tags[u].append(t)
+    return {u: UserProfile(*lists) for u, lists in enumerate(zip(items, tags))}
 
 
 def posting_lists(users, profiles) -> tuple[dict[int, list[int]], dict[int, list[int]]]:

@@ -54,14 +54,14 @@ def score(target: int, item: int, neighbors, profiles, beta: float) -> float:
     branch cannot have the item.
     """
     target_prof = profiles[target]
-    if item in target_prof.item_set:
+    if item in target_prof.items_sorted:
         return -1.0
     total = 0.0
     for v in sorted(neighbors):
         if v == target:
             continue
         neighbor_prof = profiles[v]
-        if item in neighbor_prof.item_set:
+        if item in neighbor_prof.items_sorted:
             total += user_similarity(target_prof, neighbor_prof, beta)
     return total
 
@@ -106,7 +106,7 @@ def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
             prof = profiles[u]
             shared_items = Counter(chain.from_iterable(map(item_post.__getitem__, prof.items_sorted)))
             shared_tags = Counter(chain.from_iterable(map(tag_post.__getitem__, prof.tags_sorted)))
-            n_u_items, n_u_tags = len(prof.item_set), len(prof.tag_set)
+            n_u_items, n_u_tags = len(prof.items_sorted), len(prof.tags_sorted)
             scores = [0.0] * len(pool)
             for v in sorted(shared_items.keys() | shared_tags.keys()):
                 if v == u:
@@ -114,8 +114,8 @@ def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
                 neighbor = profiles[v]
                 a, b = shared_items.get(v, 0), shared_tags.get(v, 0)
                 # the expression of user_similarity, with the intersections counted
-                sim = (beta * (a / math.sqrt(n_u_items * len(neighbor.item_set)) if a else 0.0)
-                       + (1.0 - beta) * (b / math.sqrt(n_u_tags * len(neighbor.tag_set)) if b else 0.0))
+                sim = (beta * (a / math.sqrt(n_u_items * len(neighbor.items_sorted)) if a else 0.0)
+                       + (1.0 - beta) * (b / math.sqrt(n_u_tags * len(neighbor.tags_sorted)) if b else 0.0))
                 if sim == 0.0:
                     continue
                 for x in held[v]:

@@ -15,6 +15,14 @@ import math
 import random
 
 
+def user_sets(graph, column):
+    """Each user's distinct ``column`` values (1 items, 2 tags), from one pass over the triples."""
+    sets = [set() for _ in range(graph.n_users)]
+    for quad in graph.triples:
+        sets[quad[0]].add(quad[column])
+    return sets
+
+
 def dense_vector(index_set, size):
     return [1.0 if i in index_set else 0.0 for i in range(size)]
 
@@ -43,8 +51,9 @@ def naive_coarse_cluster(train, k, iterations, gamma, seed):
     final partition.
     """
     n_users, n_items, n_tags = train.n_users, train.n_items, train.n_tags
-    item_vecs = [dense_vector(train.user_items[u], n_items) for u in range(n_users)]
-    tag_vecs = [dense_vector(train.user_tags[u], n_tags) for u in range(n_users)]
+    user_items = user_sets(train, 1)
+    item_vecs = [dense_vector(items, n_items) for items in user_items]
+    tag_vecs = [dense_vector(tags, n_tags) for tags in user_sets(train, 2)]
 
     order = list(range(n_users))
     random.Random(seed).shuffle(order)
@@ -106,7 +115,7 @@ def naive_coarse_cluster(train, k, iterations, gamma, seed):
     for members in final_clusters:
         pool = set()
         for u in members:
-            pool.update(train.user_items[u])
+            pool.update(user_items[u])
         item_clusters.append(tuple(sorted(pool)))
     return assignment, final_centroids, item_clusters
 

@@ -6,7 +6,7 @@ import pytest
 from tagrec.clustering import (
     Centroid,
     choose_k,
-    cluster_tag_count,
+    cluster_tag_counts,
     coarse_cluster,
     compute_centroid,
     init_assignment,
@@ -277,7 +277,7 @@ class TestClusterTagCount:
         g = make_graph([("u1", "r1", "t1", 1), ("u1", "r1", "t2", 2), ("u1", "r2", "t3", 3)])
         profiles = build_profiles(g)
         clustering = coarse_cluster(g, profiles, 1, 1, 0.5, 0)
-        assert cluster_tag_count(clustering, g, 0) == 3
+        assert cluster_tag_counts(clustering, g) == [3]
 
     def test_union_of_two_users(self):
         g = make_graph(
@@ -290,14 +290,24 @@ class TestClusterTagCount:
         )
         profiles = build_profiles(g)
         clustering = coarse_cluster(g, profiles, 1, 1, 0.5, 0)
-        assert cluster_tag_count(clustering, g, 0) == 3
+        assert cluster_tag_counts(clustering, g) == [3]
 
     def test_empty_cluster(self):
         g = make_graph([("u1", "r1", "t1", 1)])
         profiles = build_profiles(g)
         clustering = coarse_cluster(g, profiles, 2, 1, 0.5, 0)
         empty = [j for j, members in enumerate(clustering.user_clusters) if not members]
-        assert empty and cluster_tag_count(clustering, g, empty[0]) == 0
+        assert empty and cluster_tag_counts(clustering, g)[empty[0]] == 0
+
+    def test_counts_of_every_cluster_equal_the_union_of_its_members_tags(self):
+        rng = random.Random(99)
+        for case in range(30):
+            g = random_graph(rng, max_users=15)
+            profiles = build_profiles(g)
+            clustering = coarse_cluster(g, profiles, 1 + case % 4, 2, 0.5, case)
+            want = [len({t for u in members for t in profiles[u].tags_sorted})
+                    for members in clustering.user_clusters]
+            assert cluster_tag_counts(clustering, g) == want
 
 
 class TestWriteClustering:

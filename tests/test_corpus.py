@@ -18,10 +18,11 @@ from tagrec.corpus import (
 )
 
 from tagrec.experiment import ExperimentConfig, prepare_corpus
+from tagrec.profiles import UserProfile, build_profiles
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import make_graph
-from oracles import naive_filter_by_degree, naive_temporal_split, random_graph
+from oracles import naive_filter_by_degree, naive_temporal_split, random_graph, user_sets
 
 
 class TestParseTriples:
@@ -82,17 +83,15 @@ class TestParseTriples:
                 read_graph(path)
             assert str(got.value) == str(exc)
             return
-        got = read_graph(path)
-        assert got == want
-        assert (got.user_items, got.user_tags) == (want.user_items, want.user_tags)
+        assert read_graph(path) == want
 
 
 class TestBuildGraph:
     def test_projections(self):
         g = make_graph([("u1", "r1", "t1", 1), ("u1", "r1", "t2", 2)])
         assert (g.n_users, g.n_items, g.n_tags, g.n_triples) == (1, 1, 2, 2)
-        assert g.user_items[0] == {0}
-        assert g.user_tags[0] == {0, 1}
+        assert user_sets(g, 1)[0] == {0}
+        assert user_sets(g, 2)[0] == {0, 1}
 
     def test_empty(self):
         g = build_graph([])
@@ -105,7 +104,7 @@ class TestBuildGraph:
     def test_same_triple_different_timestamp_kept(self):
         g = make_graph([("u1", "r1", "t1", 1), ("u1", "r1", "t1", 2)])
         assert g.n_triples == 2
-        assert g.user_items[0] == {0}
+        assert user_sets(g, 1)[0] == {0}
 
     def test_first_appearance_interning(self):
         g = make_graph([("b", "r2", "t1", 1), ("a", "r1", "t1", 2)])
@@ -274,7 +273,6 @@ class TestAgainstStringOracle:
             filtered = filter_by_degree(g, threshold)
             want = naive_filter_by_degree(g, threshold)
             assert filtered == want
-            assert (filtered.user_items, filtered.user_tags) == (want.user_items, want.user_tags)
             if filtered.n_triples == 0:
                 continue
             ratio = rng.choice([0.3, 0.5, 0.7, 0.8, 0.9])
@@ -287,7 +285,6 @@ class TestAgainstStringOracle:
             split = temporal_split(filtered, ratio)
             train = split.train
             assert train == want_train
-            assert (train.user_items, train.user_tags) == (want_train.user_items, want_train.user_tags)
             assert split.test_triples == want_test
             assert split.realized_train_fraction == want_fraction
             assert {
@@ -298,13 +295,8 @@ class TestAgainstStringOracle:
         assert checked_splits >= 100
 
 
-def _user_sets(graph, column):
-    """Each user's distinct ``column`` values (1 items, 2 tags), gathered from the triples one user at a time."""
-    return [{q[column] for q in graph.triples if q[0] == u} for u in range(graph.n_users)]
-
-
-class TestLazyProjections:
-    def test_graphs_from_read_filter_and_split_project_their_triples(self, tmp_path):
+class TestOneUserSideCopy:
+    def test_profiles_of_read_filtered_and_split_graphs_match_triples(self, tmp_path):
         rng = random.Random(2718)
         path = tmp_path / "corpus.tsv"
         graphs = 0
@@ -319,27 +311,22 @@ class TestLazyProjections:
             except DataError:
                 pass
             for graph in built:
-                if case % 2:  # either projection may be read first
-                    assert graph.user_tags == _user_sets(graph, 2)
-                assert graph.user_items == _user_sets(graph, 1)
-                assert graph.user_tags == _user_sets(graph, 2)
+                items, tags = user_sets(graph, 1), user_sets(graph, 2)
+                want = {u: UserProfile(items[u], tags[u]) for u in range(graph.n_users)}
+                assert build_profiles(graph) == want
                 graphs += 1
         assert graphs >= 150
 
-    def test_prepare_corpus_builds_projections_for_the_train_graph_only(self, tmp_path, monkeypatch):
+    def test_prepare_corpus_keeps_user_data_in_the_profiles_only(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         generate_synthetic(SyntheticSpec(n_users=40, n_items=200, n_tags=80, triples_per_user=24, seed=7), path)
-        built, real = [], TripartiteGraph._projected
-
-        def counting(graph):
-            if graph._projections is None:
-                built.append(graph)
-            return real(graph)
-
-        monkeypatch.setattr(TripartiteGraph, "_projected", counting)
         filtered, split, profiles = prepare_corpus(ExperimentConfig(input=str(path), degree_threshold=2))
-        assert len(built) == 1 and built[0] is split.train
-        assert len(profiles) == split.train.n_users and filtered.n_triples > split.train.n_triples
+        assert TripartiteGraph.__slots__ == ("users", "items", "tags", "triples")
+        assert not any(hasattr(graph, "__dict__") for graph in (filtered, split.train))
+        train = split.train
+        items, tags = user_sets(train, 1), user_sets(train, 2)
+        assert profiles == {u: UserProfile(items[u], tags[u]) for u in range(train.n_users)}
+        assert filtered.n_triples > train.n_triples
 
 
 class TestRoundTrip:

@@ -6,13 +6,14 @@ import os
 import random
 import threading
 import time
+import weakref
 from itertools import count, cycle, repeat
 from types import SimpleNamespace
 
 import pytest
 
 from tagrec import experiment
-from tagrec.corpus import DataError
+from tagrec.corpus import DataError, TripartiteGraph
 from tagrec.experiment import ExperimentConfig, run_experiment, sweep
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
 
@@ -405,6 +406,51 @@ class TestCollectorPause:
             finally:
                 gc.enable()
         assert cycles[1] == cycles[2]
+
+
+class _Tracked(TripartiteGraph):
+    """A graph that can be weakly referenced, as it has no ``__slots__`` of its own."""
+
+
+class TestGraphsReleased:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_parsed_graph_is_gone_before_the_split_and_filtered_graph_before_clustering(
+            self, entry, cpus, corpus_path, usable_cpus, monkeypatch):
+        usable_cpus(cpus)
+        graphs = {"read_graph": [], "filter_by_degree": []}
+        released = {"temporal_split": [], "coarse_cluster": []}
+
+        def tracking(name):
+            real = getattr(experiment, name)
+
+            def made(*args):
+                graph = real(*args)
+                tracked = _Tracked(graph.users, graph.items, graph.tags, graph.triples)
+                graphs[name].append(weakref.ref(tracked))
+                return tracked
+
+            monkeypatch.setattr(experiment, name, made)
+
+        def checking(name, made_by):
+            real = getattr(experiment, name)
+
+            def checked(*args):
+                released[name].append([ref() is None for ref in graphs[made_by]])
+                return real(*args)
+
+            monkeypatch.setattr(experiment, name, checked)
+
+        tracking("read_graph")
+        tracking("filter_by_degree")
+        checking("temporal_split", "read_graph")
+        checking("coarse_cluster", "filter_by_degree")
+        ENTRIES[entry](config(corpus_path))
+        runs = 1 if entry == "run" else 2
+        splits = 2 if entry == "threshold-sweep" else 1
+        assert [len(seen) for seen in released["temporal_split"]] == list(range(1, splits + 1))
+        assert len(released["coarse_cluster"]) == runs
+        assert all(all(seen) for seen in released["temporal_split"] + released["coarse_cluster"])
 
 
 def _interrupt(mode, *args):

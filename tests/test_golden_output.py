@@ -199,6 +199,6 @@ def test_split_corpus_exercises_every_case():
     assert "rep" in filtered.users
     split = temporal_split(filtered, 0.8)
     fallback = split.train.users.index_of("fallback")
-    assert split.test_sets[fallback].items <= split.train.user_items[fallback]
+    assert split.test_sets[fallback].items <= {r for u, r, _, _ in split.train.triples if u == fallback}
     for user in ("late1", "late2"):
         assert split.test_sets[split.train.users.index_of(user)].unreachable == {"rnew"}

@@ -6,6 +6,7 @@ from tagrec.corpus import build_graph
 from tagrec.profiles import UserProfile, build_profiles, cosine, user_similarity
 
 from conftest import make_graph
+from oracles import random_graph, user_sets
 
 
 def profile(items, tags):
@@ -16,8 +17,8 @@ class TestBuildProfiles:
     def test_identity_copy(self):
         g = make_graph([("u1", "r1", "t1", 1), ("u1", "r2", "t1", 2)])
         profs = build_profiles(g)
-        assert profs[0].item_set == g.user_items[0]
-        assert profs[0].tag_set == g.user_tags[0]
+        assert profs[0].item_set == {g.items.index_of("r1"), g.items.index_of("r2")}
+        assert profs[0].tag_set == {g.tags.index_of("t1")}
 
     def test_empty_graph(self):
         assert build_profiles(build_graph([])) == {}
@@ -27,6 +28,28 @@ class TestBuildProfiles:
         profs = build_profiles(g)
         shared = g.items.index_of("r1")
         assert shared in profs[0].item_set and shared in profs[1].item_set
+
+
+class TestOneCopy:
+    def test_a_profile_holds_only_the_sorted_tuples(self):
+        assert UserProfile.__slots__ == ("items_sorted", "tags_sorted")
+        p = profile([3, 1, 3], {2, 0})
+        assert (p.items_sorted, p.tags_sorted) == ((1, 3), (0, 2))
+        with pytest.raises(AttributeError):
+            p.item_set = frozenset()
+
+    def test_sets_equal_the_sorted_tuples_on_random_graphs(self):
+        rng = random.Random(8128)
+        for _ in range(40):
+            g = random_graph(rng, max_timestamp=rng.choice([None, 5]))
+            items, tags = user_sets(g, 1), user_sets(g, 2)
+            profs = build_profiles(g)
+            assert list(profs) == list(range(g.n_users))
+            for u, prof in profs.items():
+                assert prof.items_sorted == tuple(sorted(items[u]))
+                assert prof.tags_sorted == tuple(sorted(tags[u]))
+                for got, want in ((prof.item_set, prof.items_sorted), (prof.tag_set, prof.tags_sorted)):
+                    assert type(got) is frozenset and got == frozenset(want)
 
 
 class TestCosine:

@@ -42,10 +42,10 @@ def main():
     print("\n== 2. build the tripartite graph (ids interned, duplicates collapsed)")
     graph = build_graph(records)
     print(graph)
-    ann = graph.users.index_of("ann")
+    ann = graph.users.index("ann")
     anns = [quad for quad in graph.triples if quad[0] == ann]
-    print("ann's items:", sorted({graph.items.id_of(r) for _, r, _, _ in anns}))
-    print("ann's tags: ", sorted({graph.tags.id_of(t) for _, _, t, _ in anns}))
+    print("ann's items:", sorted({graph.items[r] for _, r, _, _ in anns}))
+    print("ann's tags: ", sorted({graph.tags[t] for _, _, t, _ in anns}))
 
     print("\n== 3. iterative degree filtering (threshold 2)")
     print("dan has a single interaction, so dan, oneshot.io and the misc tag all go,")
@@ -59,9 +59,9 @@ def main():
     print(f"train: {split.train}")
     print(f"requested train fraction 0.8, realized {split.realized_train_fraction:.3f}")
     for u in sorted(split.test_sets):
-        ext = split.train.users.id_of(u)
+        ext = split.train.users[u]
         held = split.test_sets[u]
-        names = sorted(split.train.items.id_of(r) for r in held.items)
+        names = sorted(split.train.items[r] for r in held.items)
         print(f"  {ext}: held-out items {names} unreachable {sorted(held.unreachable)}")
 
     print("\n== 5. persist and round-trip")

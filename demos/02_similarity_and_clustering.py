@@ -46,7 +46,7 @@ def main():
     clustering = coarse_cluster(graph, profiles, k=k, iterations=2, gamma=0.5, seed=1)
     print(f"k={k} clusters, sizes {[len(m) for m in clustering.user_clusters]}")
     for j, members in enumerate(clustering.user_clusters):
-        communities = sorted({int(graph.users.id_of(u)[1:]) % 3 for u in members})
+        communities = sorted({int(graph.users[u][1:]) % 3 for u in members})
         pool = clustering.item_clusters[j]
         print(f"  cluster {j}: {len(members)} users from communities {communities}, "
               f"{len(pool)} pooled items")

@@ -43,19 +43,19 @@ def main():
         reverse=True,
     )[:3]
     for s, r in scored:
-        print(f"  item {split.train.items.id_of(r)}: score {s:.4f}")
+        print(f"  item {split.train.items[r]}: score {s:.4f}")
 
     print("\n== 3. full baseline ranklists (all users, all items)")
     baseline = rank_ucf(split.train, profiles, beta=0.5, k=10)
     top = baseline[target].entries[:3]
-    print(f"u0 top-3: {[(split.train.items.id_of(r), round(s, 4)) for r, s in top]}")
+    print(f"u0 top-3: {[(split.train.items[r], round(s, 4)) for r, s in top]}")
 
     print("\n== 4. clustered ranklists (neighbors and candidates come from u0's cluster)")
     k_clusters = choose_k(split.train.n_users, avg_cluster_size=20)
     clustering = coarse_cluster(split.train, profiles, k_clusters, iterations=2, gamma=0.5, seed=1)
     clustered = rank_fcum(clustering, split.train, profiles, beta=0.5, k=10)
     top = clustered[target].entries[:3]
-    print(f"u0 top-3: {[(split.train.items.id_of(r), round(s, 4)) for r, s in top]}")
+    print(f"u0 top-3: {[(split.train.items[r], round(s, 4)) for r, s in top]}")
 
     print("\n== 5. metrics against the held-out test sets")
     print(f"{'k':>3} {'variant':>8} {'recall':>8} {'precision':>10} {'f1':>8}")

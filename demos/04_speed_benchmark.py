@@ -61,7 +61,8 @@ def main():
         print(f"{k:>3} {result.ratios['recall'][str(k)]:>13.3f} {result.ratios['f1'][str(k)]:>9.3f}")
     if resource is not None:
         # the larger peak of this process and of its waited-for children, such as the forked UCF ranker;
-        # ru_maxrss is in bytes on macOS and in KiB elsewhere
+        # generate_synthetic writes each record as it is drawn, so this is the run's peak, not the
+        # corpus generation's; ru_maxrss is in bytes on macOS and in KiB elsewhere
         peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
         print(f"\npeak resident memory: {peak / (1 << 20 if sys.platform == 'darwin' else 1 << 10):.1f} MiB")
 

@@ -22,7 +22,6 @@ from .clustering import (
 )
 from .corpus import (
     DataError,
-    IdTable,
     Interaction,
     SplitCorpus,
     TestSet,

@@ -295,4 +295,4 @@ def write_clustering(clustering: Clustering, train, path) -> None:
     """Dump ``user_external_id<TAB>cluster_index`` lines for inspection/diffing."""
     with _atomic_open(path) as fh:
         for u, j in enumerate(clustering.assignment):
-            fh.write(f"{train.users.id_of(u)}\t{j}\n")
+            fh.write(f"{train.users[u]}\t{j}\n")

@@ -3,14 +3,14 @@
 Input data is TSV with four columns (user, item, tag, timestamp), one
 interaction per line. Each line is interned straight into a
 ``(user, item, tag, timestamp)`` quad of dense integer indices, assigned in
-first-appearance order; the graph keeps the deduplicated quads and nothing
-per user. The profiles of ``profiles.build_profiles`` are the one user-side
-copy of the training data, and the split gathers what it needs one user at
-a time. Filtering and splitting stay in that integer space: they keep a
-subsequence of the quads and renumber the surviving ids compactly, in
-first-appearance order, which yields the same tables as interning the
-surviving records afresh. ``Interaction`` records with external string ids
-appear only where records are read or written.
+first-appearance order; the graph keeps the deduplicated quads, a tuple of
+external ids per node kind, and nothing per user. The profiles of
+``profiles.build_profiles`` are the one user-side copy of the training data,
+and the split gathers what it needs one user at a time. Filtering and
+splitting stay in that integer space: they keep a subsequence of the quads
+and renumber the surviving ids compactly, in first-appearance order, which
+yields the same tables as interning the surviving records afresh.
+``Interaction`` records appear only where records are read or written.
 """
 
 import contextlib
@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from itertools import compress, starmap
 from operator import itemgetter, not_
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "DataError",
     "Interaction",
-    "IdTable",
     "TripartiteGraph",
     "TestSet",
     "SplitCorpus",
@@ -45,8 +45,7 @@ class DataError(Exception):
     """Malformed or unusable input data (maps to CLI exit code 2)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Interaction:
+class Interaction(NamedTuple):
     """A single user-item-tag annotation event."""
 
     user: str
@@ -55,53 +54,20 @@ class Interaction:
     timestamp: int
 
 
-class IdTable:
-    """External string ids and their dense indices: ``ids[i]`` has index ``i``.
-
-    The corpus builds each table from ids listed in first-appearance order.
-    """
-
-    __slots__ = ("_ids", "_index")
-
-    def __init__(self, ids=()):
-        self._ids: list[str] = list(ids)
-        self._index: dict[str, int] = dict(zip(self._ids, range(len(self._ids))))
-
-    def index_of(self, ext: str) -> int:
-        return self._index[ext]
-
-    def id_of(self, idx: int) -> str:
-        return self._ids[idx]
-
-    def __contains__(self, ext) -> bool:
-        return ext in self._index
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __iter__(self):
-        return iter(self._ids)
-
-    def __eq__(self, other):
-        return isinstance(other, IdTable) and self._ids == other._ids
-
-    def __repr__(self):
-        return f"IdTable({len(self._ids)} ids)"
-
-
 class TripartiteGraph:
     """Interned users/items/tags plus the triple store.
 
-    Every dense index is referenced by at least one triple; construction
-    guarantees this.
+    ``users``, ``items`` and ``tags`` are tuples of external ids, so
+    ``graph.items[r]`` is the id of item ``r``. Every dense index is
+    referenced by at least one triple; construction guarantees this.
     """
 
     __slots__ = ("users", "items", "tags", "triples")
 
     def __init__(self, users, items, tags, triples):
-        self.users: IdTable = users
-        self.items: IdTable = items
-        self.tags: IdTable = tags
+        self.users: tuple[str, ...] = users
+        self.items: tuple[str, ...] = items
+        self.tags: tuple[str, ...] = tags
         self.triples: list[tuple[int, int, int, int]] = triples
 
     @property
@@ -123,7 +89,7 @@ class TripartiteGraph:
     def interactions(self):
         """Yield the stored triples as externally-identified records, in storage order."""
         for u, r, t, ts in self.triples:
-            yield Interaction(self.users.id_of(u), self.items.id_of(r), self.tags.id_of(t), ts)
+            yield Interaction(self.users[u], self.items[r], self.tags[t], ts)
 
     def __eq__(self, other):
         return (
@@ -193,7 +159,7 @@ def read_triples(path) -> list[Interaction]:
 
 def read_graph(path) -> TripartiteGraph:
     """Parse a TSV corpus file straight into a graph; equal to ``build_graph(read_triples(path))``."""
-    return _read(path, lambda fh: _intern(_records(fh)))
+    return _read(path, lambda fh: build_graph(_records(fh)))
 
 
 @contextlib.contextmanager
@@ -224,20 +190,16 @@ def write_triples(interactions, path) -> None:
 def build_graph(interactions) -> TripartiteGraph:
     """Intern ids in first-appearance order and collapse exact duplicate records.
 
-    Duplicates are records equal in all four fields; binary profiles carry no
-    multiplicity, so one copy suffices.
+    ``interactions`` are any (user, item, tag, timestamp) 4-tuples, such as
+    ``Interaction`` records. Duplicates are records equal in all four fields;
+    binary profiles carry no multiplicity, so one copy suffices.
     """
-    return _intern((rec.user, rec.item, rec.tag, rec.timestamp) for rec in interactions)
-
-
-def _intern(records) -> TripartiteGraph:
-    """Graph over (user, item, tag, timestamp) string records, as ``build_graph`` documents."""
     users, items, tags = {}, {}, {}
     quads = dict.fromkeys(
         (users.setdefault(u, len(users)), items.setdefault(r, len(items)), tags.setdefault(t, len(tags)), ts)
-        for u, r, t, ts in records
+        for u, r, t, ts in interactions
     )
-    return TripartiteGraph(IdTable(users), IdTable(items), IdTable(tags), list(quads))
+    return TripartiteGraph(tuple(users), tuple(items), tuple(tags), list(quads))
 
 
 def _remap(graph: TripartiteGraph, quads):
@@ -254,7 +216,7 @@ def _remap(graph: TripartiteGraph, quads):
         new = [None] * len(old)
         for idx, old_idx in enumerate(kept):
             new[old_idx] = idx
-        tables.append(IdTable(map(old.id_of, kept)))
+        tables.append(tuple(map(old.__getitem__, kept)))
         maps.append(new)
     new_u, new_r, new_t = maps
     triples = [(new_u[u], new_r[r], new_t[t], ts) for u, r, t, ts in quads]
@@ -341,7 +303,7 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
     for u, tids in enumerate(per_user):
         if len(tids) < 2:
             raise DataError(
-                f"user {graph.users.id_of(u)!r} has {len(tids)} triple(s); need at least 2 to split"
+                f"user {graph.users[u]!r} has {len(tids)} triple(s); need at least 2 to split"
             )
         tids.sort(key=lambda tid: (triples[tid][3], triples[tid][1], triples[tid][2]))
         n_test = math.ceil((1.0 - ratio) * len(tids))
@@ -354,16 +316,15 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
         test_items.append(tested.difference(triples[tid][1] for tid in tids[:n_train]) or tested)
     del per_user  # freed before the train graph is built
 
-    test_quads = list(compress(triples, held))
     train, user_map, item_map = _remap(graph, compress(triples, map(not_, held)))
     test_sets = {
         user_map[u]: TestSet(frozenset(item_map[r] for r in old_items if item_map[r] is not None),
-                             frozenset(graph.items.id_of(r) for r in old_items if item_map[r] is None))
+                             frozenset(graph.items[r] for r in old_items if item_map[r] is None))
         for u, old_items in enumerate(test_items)
     }
 
-    users, items, tags = list(graph.users), list(graph.items), list(graph.tags)
-    test_triples = [Interaction(users[u], items[r], tags[t], ts) for u, r, t, ts in test_quads]
+    users, items, tags = graph.users, graph.items, graph.tags
+    test_triples = [Interaction(users[u], items[r], tags[t], ts) for u, r, t, ts in compress(triples, held)]
     realized = train.n_triples / graph.n_triples
     return SplitCorpus(train, test_sets, test_triples, ratio, realized)
 

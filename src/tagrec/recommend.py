@@ -155,6 +155,6 @@ def write_ranklists(ranklists: dict[int, RankList], train, path) -> None:
     """Dump ``user<TAB>rank<TAB>item<TAB>score`` lines, scores at 6 decimals."""
     with _atomic_open(path) as fh:
         for u in sorted(ranklists):
-            ext_user = train.users.id_of(u)
+            ext_user = train.users[u]
             for rank, (r, s) in enumerate(ranklists[u].entries, start=1):
-                fh.write(f"{ext_user}\t{rank}\t{train.items.id_of(r)}\t{s:.6f}\n")
+                fh.write(f"{ext_user}\t{rank}\t{train.items[r]}\t{s:.6f}\n")

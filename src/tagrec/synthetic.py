@@ -5,6 +5,7 @@ modulo the community count. Every interaction picks the user's own
 community pools with probability ``in_community_prob`` and uniform
 out-of-community picks otherwise; timestamps are a global running counter,
 so the temporal split holds out each user's last interactions.
+``generate_synthetic`` writes each record as it is drawn, holding no corpus.
 """
 
 import random
@@ -60,25 +61,25 @@ def _draw(rng: random.Random, n: int, n_comm: int, comm: int, own: bool) -> int:
             return x
 
 
-def generate_interactions(spec: SyntheticSpec) -> list[Interaction]:
-    """Deterministic interaction list for the given spec."""
+def _interactions(spec: SyntheticSpec):
+    """Yield the spec's records in order, each drawn when it is asked for."""
     rng = random.Random(spec.seed)
     n_comm = spec.n_communities
-    records = []
-    ts = 0
-    for u in range(spec.n_users):
+    for ts in range(spec.n_users * spec.triples_per_user):
+        u = ts // spec.triples_per_user
         comm = u % n_comm
-        for _ in range(spec.triples_per_user):
-            own = n_comm == 1 or rng.random() < spec.in_community_prob
-            item = _draw(rng, spec.n_items, n_comm, comm, own)
-            tag = _draw(rng, spec.n_tags, n_comm, comm, own)
-            records.append(Interaction(f"u{u}", f"r{item}", f"t{tag}", ts))
-            ts += 1
-    return records
+        own = n_comm == 1 or rng.random() < spec.in_community_prob
+        item = _draw(rng, spec.n_items, n_comm, comm, own)
+        tag = _draw(rng, spec.n_tags, n_comm, comm, own)
+        yield Interaction(f"u{u}", f"r{item}", f"t{tag}", ts)
+
+
+def generate_interactions(spec: SyntheticSpec) -> list[Interaction]:
+    """Deterministic interaction list for the given spec."""
+    return list(_interactions(spec))
 
 
 def generate_synthetic(spec: SyntheticSpec, path) -> Path:
     """Write the spec's corpus as TSV; identical specs give byte-identical files."""
-    path = Path(path)
-    write_triples(generate_interactions(spec), path)
-    return path
+    write_triples(_interactions(spec), path)
+    return Path(path)

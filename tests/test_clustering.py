@@ -145,7 +145,7 @@ class TestCoarseCluster:
         clustering = coarse_cluster(g, profiles, 2, 2, 0.5, seed=seed)
         groups = {}
         for u, j in enumerate(clustering.assignment):
-            groups.setdefault(j, set()).add(g.users.id_of(u))
+            groups.setdefault(j, set()).add(g.users[u])
         communities = sorted(frozenset(v) for v in groups.values())
         assert communities == sorted(
             [frozenset({"a0", "a1", "a2"}), frozenset({"b0", "b1", "b2"})]

@@ -28,6 +28,7 @@ from oracles import naive_filter_by_degree, naive_temporal_split, random_graph, 
 class TestParseTriples:
     def test_single_record(self):
         assert parse_triples(io.StringIO("u1\tr1\tt1\t100\n")) == [Interaction("u1", "r1", "t1", 100)]
+        assert Interaction("u1", "r1", "t1", 100) == ("u1", "r1", "t1", 100)
 
     def test_empty_input(self):
         assert parse_triples(io.StringIO("")) == []
@@ -77,13 +78,15 @@ class TestParseTriples:
         path = tmp_path / "corpus.tsv"
         path.write_bytes(text.encode("utf-8"))
         try:
-            want = build_graph(read_triples(path))
+            records = read_triples(path)
         except DataError as exc:
             with pytest.raises(DataError) as got:
                 read_graph(path)
             assert str(got.value) == str(exc)
             return
+        want = build_graph(records)
         assert read_graph(path) == want
+        assert build_graph(tuple(rec) for rec in records) == want
 
 
 class TestBuildGraph:
@@ -178,9 +181,9 @@ class TestTemporalSplit:
         rows += [("u2", "r5", "t1", 1), ("u2", "r2", "t1", 2)]
         g = make_graph(rows)
         split = temporal_split(g, 0.8)
-        u1 = split.train.users.index_of("u1")
+        u1 = split.train.users.index("u1")
         held = split.test_sets[u1]
-        assert held.items == {split.train.items.index_of("r5")}
+        assert held.items == {split.train.items.index("r5")}
         assert held.unreachable == frozenset()
         train_u1 = [rec for rec in split.train.interactions() if rec.user == "u1"]
         assert sorted(rec.timestamp for rec in train_u1) == [1, 2, 3, 4]
@@ -190,7 +193,7 @@ class TestTemporalSplit:
         rows += [("u2", "r1", "t1", 1), ("u2", "r2", "t1", 2)]
         g = make_graph(rows)
         split = temporal_split(g, 0.8)
-        held = split.test_sets[split.train.users.index_of("u1")]
+        held = split.test_sets[split.train.users.index("u1")]
         assert held.items == frozenset()
         assert held.unreachable == {"r5"}
         assert len(held) == 1
@@ -205,7 +208,7 @@ class TestTemporalSplit:
         ]
         g = make_graph(rows)
         split = temporal_split(g, 0.7)
-        u1 = split.train.users.index_of("u1")
+        u1 = split.train.users.index("u1")
         assert "rX" in split.test_sets[u1].unreachable
         assert len(split.test_sets[u1]) >= 1
 
@@ -219,10 +222,10 @@ class TestTemporalSplit:
         ]
         g = make_graph(rows)
         split = temporal_split(g, 0.8)
-        u1 = split.train.users.index_of("u1")
+        u1 = split.train.users.index("u1")
         held = split.test_sets[u1]
         assert len(held) > 0
-        assert held.items == {split.train.items.index_of("r1")}
+        assert held.items == {split.train.items.index("r1")}
 
     def test_single_triple_user_rejected(self):
         g = make_graph([("lonely", "r1", "t1", 1), ("u2", "r1", "t1", 1), ("u2", "r2", "t1", 2)])
@@ -288,7 +291,7 @@ class TestAgainstStringOracle:
             assert split.test_triples == want_test
             assert split.realized_train_fraction == want_fraction
             assert {
-                train.users.id_of(u): (frozenset(map(train.items.id_of, ts.items)), ts.unreachable)
+                train.users[u]: (frozenset(map(train.items.__getitem__, ts.items)), ts.unreachable)
                 for u, ts in split.test_sets.items()
             } == want_sets
             checked_splits += 1
@@ -322,7 +325,9 @@ class TestOneUserSideCopy:
         generate_synthetic(SyntheticSpec(n_users=40, n_items=200, n_tags=80, triples_per_user=24, seed=7), path)
         filtered, split, profiles = prepare_corpus(ExperimentConfig(input=str(path), degree_threshold=2))
         assert TripartiteGraph.__slots__ == ("users", "items", "tags", "triples")
-        assert not any(hasattr(graph, "__dict__") for graph in (filtered, split.train))
+        graphs = (read_graph(path), filtered, split.train)
+        assert not any(hasattr(graph, "__dict__") for graph in graphs)
+        assert all(type(table) is tuple for graph in graphs for table in (graph.users, graph.items, graph.tags))
         train = split.train
         items, tags = user_sets(train, 1), user_sets(train, 2)
         assert profiles == {u: UserProfile(items[u], tags[u]) for u in range(train.n_users)}

@@ -198,7 +198,7 @@ def test_split_corpus_exercises_every_case():
     assert {"solo", "chain"} <= set(graph.users) - set(filtered.users)
     assert "rep" in filtered.users
     split = temporal_split(filtered, 0.8)
-    fallback = split.train.users.index_of("fallback")
+    fallback = split.train.users.index("fallback")
     assert split.test_sets[fallback].items <= {r for u, r, _, _ in split.train.triples if u == fallback}
     for user in ("late1", "late2"):
-        assert split.test_sets[split.train.users.index_of(user)].unreachable == {"rnew"}
+        assert split.test_sets[split.train.users.index(user)].unreachable == {"rnew"}

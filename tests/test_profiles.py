@@ -17,8 +17,8 @@ class TestBuildProfiles:
     def test_identity_copy(self):
         g = make_graph([("u1", "r1", "t1", 1), ("u1", "r2", "t1", 2)])
         profs = build_profiles(g)
-        assert profs[0].item_set == {g.items.index_of("r1"), g.items.index_of("r2")}
-        assert profs[0].tag_set == {g.tags.index_of("t1")}
+        assert profs[0].item_set == {g.items.index("r1"), g.items.index("r2")}
+        assert profs[0].tag_set == {g.tags.index("t1")}
 
     def test_empty_graph(self):
         assert build_profiles(build_graph([])) == {}
@@ -26,7 +26,7 @@ class TestBuildProfiles:
     def test_shared_item_appears_in_both(self):
         g = make_graph([("u1", "r1", "t1", 1), ("u2", "r1", "t2", 2)])
         profs = build_profiles(g)
-        shared = g.items.index_of("r1")
+        shared = g.items.index("r1")
         assert shared in profs[0].item_set and shared in profs[1].item_set
 
 

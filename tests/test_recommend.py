@@ -15,7 +15,7 @@ class TestScore:
     def test_already_trained_item_is_sentinel(self):
         g = make_graph([("u1", "r1", "t1", 1), ("u2", "r1", "t1", 2)])
         profiles = build_profiles(g)
-        assert score(0, g.items.index_of("r1"), {0, 1}, profiles, 0.5) == -1.0
+        assert score(0, g.items.index("r1"), {0, 1}, profiles, 0.5) == -1.0
 
     def test_item_nobody_has_scores_zero(self):
         g = make_graph([("u1", "r1", "t1", 1), ("u2", "r2", "t1", 2)])
@@ -25,7 +25,7 @@ class TestScore:
             [("u1", "r1", "t1", 1), ("u2", "r2", "t1", 2), ("u3", "r3", "t2", 3)]
         )
         profiles2 = build_profiles(g2)
-        assert score(0, g2.items.index_of("r3"), {1}, profiles2, 0.5) == 0.0
+        assert score(0, g2.items.index("r3"), {1}, profiles2, 0.5) == 0.0
 
     def test_sums_neighbor_similarities(self):
         # two neighbors both holding the item contribute their similarities
@@ -40,7 +40,7 @@ class TestScore:
         )
         profiles = build_profiles(g)
         target = 0
-        item = g.items.index_of("r2")
+        item = g.items.index("r2")
         expected = user_similarity(profiles[0], profiles[1], 0.5) + user_similarity(
             profiles[0], profiles[2], 0.5
         )
@@ -63,7 +63,7 @@ class TestRankUcf:
         profiles = build_profiles(g)
         out = rank_ucf(g, profiles, 0.0, 2)  # beta 0 ignores items; tags identical -> sim 1
         # u1's candidates are r2, r3, r4 each scored 1.0; top-2 by index
-        assert [g.items.id_of(r) for r, _ in out[0].entries] == ["r2", "r3"]
+        assert [g.items[r] for r, _ in out[0].entries] == ["r2", "r3"]
         assert [s for _, s in out[0].entries] == [1.0, 1.0]
 
     def test_twin_users_extra_item(self):
@@ -78,7 +78,7 @@ class TestRankUcf:
         )
         profiles = build_profiles(g)
         out = rank_ucf(g, profiles, 0.5, 3)
-        rx = g.items.index_of("rX")
+        rx = g.items.index("rX")
         sim = user_similarity(profiles[0], profiles[1], 0.5)
         assert out[0].entries[0] == (rx, sim)
         expected = 0.5 * (2 / math.sqrt(2 * 3)) + 0.5 * 1.0
@@ -131,9 +131,9 @@ class TestRankUcf:
             rows += [(f"v{v:03d}", "shared", "t", 2 * v + 1), (f"v{v:03d}", f"only{v:03d}", "t", 2 * v + 2)]
         g = make_graph(rows)
         profiles = build_profiles(g)
-        entries = rank_ucf(g, profiles, 0.5, 20)[g.users.index_of("u")].entries
-        sim = user_similarity(profiles[g.users.index_of("u")], profiles[g.users.index_of("v000")], 0.5)
-        assert entries == tuple((g.items.index_of(f"only{v:03d}"), sim) for v in range(20))
+        entries = rank_ucf(g, profiles, 0.5, 20)[g.users.index("u")].entries
+        sim = user_similarity(profiles[g.users.index("u")], profiles[g.users.index("v000")], 0.5)
+        assert entries == tuple((g.items.index(f"only{v:03d}"), sim) for v in range(20))
 
     def test_zero_score_items_padded_deterministically(self):
         g = make_graph(
@@ -261,7 +261,7 @@ class TestRankFcum:
         clustering = coarse_cluster(g, profiles, 2, 2, 0.5, seed=1)
         assert clustering.nonempty_clusters() == 2
         for members in clustering.user_clusters:
-            assert len({g.users.id_of(u)[0] for u in members}) == 1  # pure clusters
+            assert len({g.users[u][0] for u in members}) == 1  # pure clusters
         baseline = rank_ucf(g, profiles, 0.5, 6)
         clustered = rank_fcum(clustering, g, profiles, 0.5, 6)
         for u in range(g.n_users):
@@ -282,9 +282,9 @@ class TestRankFcum:
         profiles = build_profiles(g)
         clustering = coarse_cluster(g, profiles, 2, 2, 0.5, seed=0)
         out = rank_fcum(clustering, g, profiles, 0.5, 10)
-        a_items = {g.items.index_of(f"ra{r}") for r in range(4)}
+        a_items = {g.items.index(f"ra{r}") for r in range(4)}
         for u, ranklist in out.items():
-            own = g.users.id_of(u)[0]
+            own = g.users[u][0]
             for r, _ in ranklist.entries:
                 assert (r in a_items) == (own == "a")
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from tagrec.clustering import coarse_cluster
-from tagrec.corpus import build_graph
+from tagrec.corpus import build_graph, write_triples
 from tagrec.profiles import build_profiles
 from tagrec.synthetic import SyntheticSpec, generate_interactions, generate_synthetic
 
@@ -59,6 +61,23 @@ class TestGeneration:
         generate_synthetic(small_spec(seed=6), b)
         assert a.read_bytes() != b.read_bytes()
 
+    def test_file_holds_the_listed_interactions(self, tmp_path):
+        spec = small_spec()
+        generate_synthetic(spec, tmp_path / "streamed.tsv")
+        write_triples(generate_interactions(spec), tmp_path / "listed.tsv")
+        assert (tmp_path / "streamed.tsv").read_bytes() == (tmp_path / "listed.tsv").read_bytes()
+
+    def test_file_is_written_without_holding_the_corpus(self, tmp_path):
+        # 12,000 records: a list of them alone would take a few MiB
+        spec = small_spec(n_users=200, triples_per_user=60)
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec, tmp_path / "corpus.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_record_count_and_sequential_timestamps(self):
         records = generate_interactions(small_spec())
         assert len(records) == 30 * 20
@@ -94,7 +113,7 @@ class TestGeneration:
             clustering = coarse_cluster(graph, profiles, 2, 2, 0.5, seed=seed)
             labels = {}
             for u, j in enumerate(clustering.assignment):
-                comm = int(graph.users.id_of(u)[1:]) % 2
+                comm = int(graph.users[u][1:]) % 2
                 labels.setdefault(j, set()).add(comm)
             assert all(len(comms) == 1 for comms in labels.values())
 

@@ -16,12 +16,12 @@ from pathlib import Path
 
 from .clustering import choose_k, coarse_cluster, write_clustering
 from .corpus import DataError, split_summary, write_summary, write_triples
-from .experiment import SWEEPABLE, ExperimentConfig, prepare_corpus, run_experiment, split_corpus, sweep
+from .experiment import MODES, SWEEPABLE, ExperimentConfig, prepare_corpus, run_experiment, split_corpus, sweep
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = ["main", "run_main"]
 
-# The config-file keys and the flags read into a config; a field's type picks its parser.
+# The config-file keys; a field's type picks the parser of its key and of its flag.
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
@@ -44,23 +44,6 @@ def k_list(text: str) -> tuple[int, ...]:
             raise ValueError(f"bad k range {text!r}")
         return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def _add_experiment_flags(parser):
-    parser.add_argument("--input", help="TSV corpus (user, item, tag, timestamp)")
-    parser.add_argument("--mode", choices=["ucf", "fcum", "both"])
-    parser.add_argument("--degree-threshold", type=int)
-    parser.add_argument("--split-ratio", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--avg-cluster-size", type=int)
-    parser.add_argument("--iterations", type=int)
-    parser.add_argument("--k-list", type=k_list, help="comma list or lo..hi range (default 1..20)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--output", help="directory for report files")
-    parser.add_argument("--dump-ranklists", action="store_true", default=None,
-                        help="also write per-user ranklists to the output dir")
-    parser.add_argument("--config", help="key=value file supplying defaults for the flags above")
 
 
 def _read_config_file(path) -> dict:
@@ -94,6 +77,34 @@ def _parse_bool(text: str) -> bool:
 
 _PARSE_BY_TYPE = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: k_list}
 
+# The help of the field flags that have one, by field name.
+_HELP = {
+    "input": "TSV corpus (user, item, tag, timestamp)",
+    "k_list": "comma list or lo..hi range (default 1..20)",
+    "output": "directory for report files",
+    "dump_ranklists": "also write per-user ranklists to the output dir",
+}
+
+
+def _add_field_flags(parser, cls, names=None) -> None:
+    """Add a flag per field of the dataclass ``cls`` (or per field in ``names``), in field order.
+
+    ``--`` plus the field name, less an ``n_`` prefix, ``_`` as ``-``; an
+    omitted flag leaves ``None`` under the field name.
+    """
+    for f in dataclasses.fields(cls):
+        if names is None or f.name in names:
+            flag = "--" + f.name.removeprefix("n_").replace("_", "-")
+            kind = ({"action": "store_true", "default": None} if f.type is bool else
+                    {"type": _PARSE_BY_TYPE.get(f.type), "choices": MODES if f.name == "mode" else None})
+            parser.add_argument(flag, dest=f.name, help=_HELP.get(f.name), **kind)
+
+
+def _given(args, cls, skip=()) -> dict:
+    """The fields of ``cls``, less those in ``skip``, that ``args`` holds a value for."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls) if f.name not in skip}
+    return {name: value for name, value in values.items() if value is not None}
+
 
 def _build_config(args) -> ExperimentConfig:
     merged = {}
@@ -104,10 +115,7 @@ def _build_config(args) -> ExperimentConfig:
                 merged[key] = parse(raw) if parse else raw
             except ValueError:
                 raise ValueError(f"config key {key}: bad value {raw!r}") from None
-    for key in _FIELD_TYPES:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update(_given(args, ExperimentConfig))
     if "input" not in merged:
         raise ValueError("--input is required (flag or config file)")
     return ExperimentConfig(**merged)
@@ -185,9 +193,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen(args) -> int:
     _check_output(args.output, directory=False)
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticSpec)
-             if getattr(args, f.name) is not None}
-    spec = SyntheticSpec(**given)
+    spec = SyntheticSpec(**_given(args, SyntheticSpec))
     path = generate_synthetic(spec, args.output)
     print(f"wrote {path} ({spec.n_users * spec.triples_per_user} records)")
     return 0
@@ -198,9 +204,7 @@ def _corpus_config(args) -> ExperimentConfig:
 
     ``--output`` names the command's own output, not a report directory.
     """
-    given = {name: value for name, value in vars(args).items()
-             if name in _FIELD_TYPES and name != "output" and value is not None}
-    return ExperimentConfig(**given)
+    return ExperimentConfig(**_given(args, ExperimentConfig, skip=("output",)))
 
 
 def _cmd_split(args) -> int:
@@ -232,40 +236,30 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser("run", help="run one experiment end to end")
-    _add_experiment_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
-
     p_sweep = sub.add_parser("sweep", help="re-run an experiment over one parameter")
-    _add_experiment_flags(p_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep)
+    for p in (p_run, p_sweep):
+        _add_field_flags(p, ExperimentConfig)
+        p.add_argument("--config", help="key=value file supplying defaults for the flags above")
     p_sweep.add_argument("--param", required=True, help=f"one of {', '.join(SWEEPABLE)}")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic planted-community corpus")
     p_gen.add_argument("--output", required=True)
-    p_gen.add_argument("--users", type=int, dest="n_users")
-    p_gen.add_argument("--items", type=int, dest="n_items")
-    p_gen.add_argument("--tags", type=int, dest="n_tags")
-    p_gen.add_argument("--communities", type=int, dest="n_communities")
-    p_gen.add_argument("--triples-per-user", type=int)
-    p_gen.add_argument("--in-community-prob", type=float)
-    p_gen.add_argument("--seed", type=int)
+    _add_field_flags(p_gen, SyntheticSpec)
     p_gen.set_defaults(func=_cmd_gen)
 
-    for name, handler, out_help in (
-        ("split", _cmd_split, "directory for train.tsv/test.tsv/summary.txt"),
-        ("cluster", _cmd_cluster, "path for the user<TAB>cluster dump"),
+    split_fields = ("degree_threshold", "split_ratio")
+    for name, handler, out_help, names in (
+        ("split", _cmd_split, "directory for train.tsv/test.tsv/summary.txt", split_fields),
+        ("cluster", _cmd_cluster, "path for the user<TAB>cluster dump",
+         (*split_fields, "gamma", "avg_cluster_size", "iterations", "seed")),
     ):
         p = sub.add_parser(name, help=f"persist a {name} for a corpus")
         p.add_argument("--input", required=True)
         p.add_argument("--output", required=True, help=out_help)
-        p.add_argument("--degree-threshold", type=int)
-        p.add_argument("--split-ratio", type=float)
-        if name == "cluster":
-            p.add_argument("--gamma", type=float)
-            p.add_argument("--avg-cluster-size", type=int)
-            p.add_argument("--iterations", type=int)
-            p.add_argument("--seed", type=int)
+        _add_field_flags(p, ExperimentConfig, names)
         p.set_defaults(func=handler)
 
     return parser

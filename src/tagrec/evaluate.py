@@ -42,23 +42,12 @@ def _hit_counts(ranklists, test_sets, k) -> list[tuple[int, int]]:
     return counts
 
 
-def _recall(counts) -> float:
-    total = 0.0
-    for hits, size in counts:
-        total += hits / size
-    return total / len(counts)
-
-
-def _precision(counts, k) -> float:
-    return sum(hits for hits, _ in counts) / (len(counts) * k)
-
-
 def recall_at_k(ranklists, test_sets, k: int) -> float:
     """Mean over users of |top-k hits| / |test set|.
 
     Users whose ranklist is shorter than k are scored on what they have.
     """
-    return _recall(_hit_counts(ranklists, test_sets, k))
+    return metrics_at_k(ranklists, test_sets, k).recall
 
 
 def precision_at_k(ranklists, test_sets, k: int) -> float:
@@ -66,7 +55,7 @@ def precision_at_k(ranklists, test_sets, k: int) -> float:
 
     The denominator stays k even when fewer than k items were recommendable.
     """
-    return _precision(_hit_counts(ranklists, test_sets, k), k)
+    return metrics_at_k(ranklists, test_sets, k).precision
 
 
 def f1_at_k(precision: float, recall: float) -> float:
@@ -79,8 +68,12 @@ def f1_at_k(precision: float, recall: float) -> float:
 def metrics_at_k(ranklists, test_sets, k: int) -> MetricsAtK:
     """Recall, precision and F1 at ``k`` from one count of each user's hits."""
     counts = _hit_counts(ranklists, test_sets, k)
-    r, p = _recall(counts), _precision(counts, k)
-    return MetricsAtK(k=k, recall=r, precision=p, f1=f1_at_k(p, r))
+    recall = 0.0
+    for hits, size in counts:
+        recall += hits / size
+    recall /= len(counts)
+    precision = sum(hits for hits, _ in counts) / (len(counts) * k)
+    return MetricsAtK(k=k, recall=recall, precision=precision, f1=f1_at_k(precision, recall))
 
 
 @dataclass

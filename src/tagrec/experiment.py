@@ -109,7 +109,7 @@ def fcum_scored_work(clustering, train) -> int:
     return sum(len(members) * (len(members) * len(pool) + n_tags) for members, pool, n_tags in clusters)
 
 
-def _rank(mode, split, profiles, cfg, kmax, users=None):
+def _rank(mode, train, profiles, cfg, kmax, users=None):
     """Time one mode's ranking; return ``(clustering or None, ranklists, timing)``.
 
     ``fcum`` clusters the users and then ranks within each cluster; ``ucf``
@@ -117,7 +117,6 @@ def _rank(mode, split, profiles, cfg, kmax, users=None):
     users, so its clustering time is 0 and its score time is its total time.
     This is the one timer of both modes.
     """
-    train = split.train
     k_clusters = choose_k(train.n_users, cfg.avg_cluster_size) if mode == "fcum" else None
     start = mid = time.perf_counter()
     if mode == "fcum":
@@ -131,9 +130,8 @@ def _rank(mode, split, profiles, cfg, kmax, users=None):
                                    "total_seconds": end - start}
 
 
-def _report(mode, split, cfg, clustering, ranklists, timing):
+def _report(mode, train, test_sets, cfg, clustering, ranklists, timing):
     """Evaluate one mode's ranklists; return ``(report, ranklists)``, with any clustering's work counters."""
-    train = split.train
     work = {
         "users": train.n_users,
         "items": train.n_items,
@@ -151,7 +149,7 @@ def _report(mode, split, cfg, clustering, ranklists, timing):
         )
     report = EvalReport(
         mode=mode,
-        per_k=[metrics_at_k(ranklists, split.test_sets, k) for k in cfg.k_list],
+        per_k=[metrics_at_k(ranklists, test_sets, k) for k in cfg.k_list],
         timing=timing,
         work=work,
         config=dict(cfg.echo(), k_clusters=None if clustering is None else clustering.k),
@@ -194,6 +192,16 @@ def prepare_corpus(cfg: ExperimentConfig):
     return filtered, split, build_profiles(split.train)
 
 
+def _prepared(cfg: ExperimentConfig):
+    """What the modes read of ``prepare_corpus(cfg)``: ``(train graph, test sets, profiles)``.
+
+    No name outlives this call, so the filtered graph and the held-out
+    records are freed before the modes run.
+    """
+    split, profiles = prepare_corpus(cfg)[1:]
+    return split.train, split.test_sets, profiles
+
+
 @contextlib.contextmanager
 def _collector_paused():
     """Disable Python's cyclic garbage collector for the block, then restore the state it had."""
@@ -231,21 +239,21 @@ def _claim_back(lo, hi):
         j -= 1
 
 
-def _ucf_child(sender, split, profiles, cfg, kmax, lo, hi):
+def _ucf_child(sender, train, profiles, cfg, kmax, lo, hi):
     """Body of the forked child: rank UCF's users from the back and send the outcome.
 
     The message is ``(False, (ranklists, timing))``, or ``(True, exception)``.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and terminates this child
     try:
-        _, ranklists, timing = _rank("ucf", split, profiles, cfg, kmax, _claim_back(lo, hi))
+        _, ranklists, timing = _rank("ucf", train, profiles, cfg, kmax, _claim_back(lo, hi))
         message = (False, (ranklists, timing))
     except Exception as exc:
         message = (True, exc)
     sender.send(message)
 
 
-def _run_side_by_side(split, profiles, cfg, kmax) -> dict:
+def _run_side_by_side(train, test_sets, profiles, cfg, kmax) -> dict:
     """Run FCUM here while a forked child ranks UCF's users; return ``{mode: (report, ranklists)}``.
 
     UCF's target users are shared through two integers in shared memory:
@@ -258,24 +266,24 @@ def _run_side_by_side(split, profiles, cfg, kmax) -> dict:
     dying child could leave held. UCF's timing is the sum of both
     processes' timings, its cost on one core.
 
-    The child inherits the split and profiles and sends its ranklists and
-    timing back over a one-way pipe. An exception raised in the child is
-    raised here with its type and message; a child that exits without a
-    result raises ``ChildProcessError`` once this process has ranked its
-    share. The child is always joined, and is terminated if anything here
-    fails, ``KeyboardInterrupt`` included.
+    The child inherits the train graph and profiles and sends its
+    ranklists and timing back over a one-way pipe. An exception raised in
+    the child is raised here with its type and message; a child that exits
+    without a result raises ``ChildProcessError`` once this process has
+    ranked its share. The child is always joined, and is terminated if
+    anything here fails, ``KeyboardInterrupt`` included.
     """
     import multiprocessing  # here only: at module level it adds ~1 MiB to the peak RSS of every run
 
     context = multiprocessing.get_context("fork")
-    lo, hi = context.RawValue("q", 0), context.RawValue("q", split.train.n_users)
+    lo, hi = context.RawValue("q", 0), context.RawValue("q", train.n_users)
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_ucf_child, args=(sender, split, profiles, cfg, kmax, lo, hi))
+    child = context.Process(target=_ucf_child, args=(sender, train, profiles, cfg, kmax, lo, hi))
     child.start()
     sender.close()  # so the child's exit without a result reads as end of file
     try:
-        fcum = _report("fcum", split, cfg, *_rank("fcum", split, profiles, cfg, kmax))
-        _, ranklists, timing = _rank("ucf", split, profiles, cfg, kmax, _claim_front(lo, hi))
+        fcum = _report("fcum", train, test_sets, cfg, *_rank("fcum", train, profiles, cfg, kmax))
+        _, ranklists, timing = _rank("ucf", train, profiles, cfg, kmax, _claim_front(lo, hi))
         try:
             failed, outcome = receiver.recv()
         except EOFError:
@@ -293,11 +301,11 @@ def _run_side_by_side(split, profiles, cfg, kmax) -> dict:
     child_ranklists, child_timing = outcome
     ranklists.update(child_ranklists)
     timing = {key: seconds + child_timing[key] for key, seconds in timing.items()}
-    return {"ucf": _report("ucf", split, cfg, None, ranklists, timing), "fcum": fcum}
+    return {"ucf": _report("ucf", train, test_sets, cfg, None, ranklists, timing), "fcum": fcum}
 
 
-def _run_prepared(cfg: ExperimentConfig, split, profiles) -> ExperimentResult:
-    """``run_experiment`` on the split and profiles of ``prepare_corpus(cfg)``."""
+def _run_prepared(cfg: ExperimentConfig, train, test_sets, profiles) -> ExperimentResult:
+    """``run_experiment`` on the train graph, test sets and profiles of ``_prepared(cfg)``."""
     kmax = max(cfg.k_list)
     modes = [mode for mode in ("ucf", "fcum") if cfg.mode in (mode, "both")]
 
@@ -306,9 +314,10 @@ def _run_prepared(cfg: ExperimentConfig, split, profiles) -> ExperimentResult:
                     and threading.active_count() == 1)
     start = time.perf_counter()
     if side_by_side:
-        runs = _run_side_by_side(split, profiles, cfg, kmax)
+        runs = _run_side_by_side(train, test_sets, profiles, cfg, kmax)
     else:
-        runs = {mode: _report(mode, split, cfg, *_rank(mode, split, profiles, cfg, kmax)) for mode in modes}
+        runs = {mode: _report(mode, train, test_sets, cfg, *_rank(mode, train, profiles, cfg, kmax))
+                for mode in modes}
     modes_wall_seconds = time.perf_counter() - start
 
     reports = {mode: report for mode, (report, _) in runs.items()}
@@ -323,7 +332,7 @@ def _run_prepared(cfg: ExperimentConfig, split, profiles) -> ExperimentResult:
         if cfg.dump_ranklists:
             for mode, (_, ranklists) in runs.items():
                 path = directory / f"{mode}.ranklists.tsv"
-                write_ranklists(ranklists, split.train, path)
+                write_ranklists(ranklists, train, path)
                 result.written.append(path)
         if ratios is not None:
             docs, timing = _result_docs(result)
@@ -345,8 +354,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     spans lie in it.
     """
     with _collector_paused():
-        split, profiles = prepare_corpus(cfg)[1:]  # binds no name to the filtered graph, so it is freed here
-        return _run_prepared(cfg, split, profiles)
+        return _run_prepared(cfg, *_prepared(cfg))
 
 
 def _result_docs(result: ExperimentResult) -> tuple[dict, dict]:
@@ -389,8 +397,8 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
         if param == "degree_threshold":
             results = [run_experiment(run_cfg) for run_cfg in run_cfgs]
         else:
-            split, profiles = prepare_corpus(cfg)[1:]
-            results = [_run_prepared(run_cfg, split, profiles) for run_cfg in run_cfgs]
+            prepared = _prepared(cfg)
+            results = [_run_prepared(run_cfg, *prepared) for run_cfg in run_cfgs]
 
         if cfg.output is not None:
             directory = Path(cfg.output)

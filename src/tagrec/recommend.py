@@ -28,8 +28,8 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
-from operator import eq, le, lt
+from itertools import chain, compress, repeat
+from operator import le
 
 from .clustering import Clustering
 from .corpus import _atomic_open
@@ -72,18 +72,12 @@ def _top_positions(scores: list[float], k: int) -> list[int]:
     Negative scores are never chosen, zero scores only after every positive one.
     """
     # the k-th best of every 8th score bounds the k-th best from below, so a
-    # C-level pass can drop every position under it before the stable nlargest
+    # C-level pass can drop every position under it before the stable nlargest;
+    # a floor of 0 drops only the -1 sentinels, and the zeros then come last, by position
     sample = heapq.nlargest(k, scores[::8])
-    floor = sample[-1] if k > 0 and len(sample) == k else 0.0
-    if floor > 0.0:
-        kept = map(le, repeat(floor), scores)
-    else:
-        kept = map(lt, repeat(0.0), scores)
-    top = heapq.nlargest(k, compress(range(len(scores)), kept), key=scores.__getitem__)
-    if len(top) < k:
-        zeros = compress(range(len(scores)), map(eq, repeat(0.0), scores))
-        top.extend(islice(zeros, k - len(top)))
-    return top
+    floor = max(sample[-1], 0.0) if k > 0 and len(sample) == k else 0.0
+    kept = compress(range(len(scores)), map(le, repeat(floor), scores))
+    return heapq.nlargest(k, kept, key=scores.__getitem__)
 
 
 def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:

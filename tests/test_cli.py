@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import multiprocessing
@@ -9,7 +10,7 @@ import pytest
 from tagrec import cli, experiment
 from tagrec.cli import main
 from tagrec.corpus import DataError, build_graph, read_triples
-from tagrec.experiment import ExperimentConfig
+from tagrec.experiment import ExperimentConfig, ExperimentResult
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -216,6 +217,59 @@ class TestRunCommand:
             assert f"line 2: unknown config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.fixture
+def configs(monkeypatch):
+    """Make ``run`` record the ``ExperimentConfig`` it built instead of running it."""
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return ExperimentResult(reports={})
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    return seen
+
+
+class TestConfigFile:
+    def test_comments_and_blank_lines_are_skipped(self, corpus_path, tmp_path, configs):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"# an experiment\n\n   \ninput = {corpus_path}\n  # indented comment\nmode=ucf\n",
+                       encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert main(["run", "--input", str(corpus_path), "--mode", "ucf"]) == 0
+        assert configs[0] == configs[1] == ExperimentConfig(input=str(corpus_path), mode="ucf")
+
+    def test_line_without_equals_is_usage_error(self, corpus_path, tmp_path, capsys, configs):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"input={corpus_path}\nmode ucf\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"tagrec: error: {cfg}: line 2: expected key=value\n"
+        assert configs == []
+
+    def test_unreadable_config_is_data_error(self, corpus_path, tmp_path, capsys, configs):
+        for path in (tmp_path / "ghost.cfg", tmp_path):
+            assert main(["run", "--input", str(corpus_path), "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"tagrec: data error: {path}: ") and len(err.splitlines()) == 1
+        assert configs == []
+
+    @pytest.mark.parametrize("key, value", [("dump_ranklists", "maybe"), ("seed", "x"), ("k_list", "3..1")])
+    def test_bad_value_is_usage_error_naming_the_key(self, key, value, corpus_path, tmp_path, capsys, configs):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"input={corpus_path}\n{key}={value}\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"tagrec: error: config key {key}: bad value {value!r}\n"
+        assert configs == []
+
+    def test_k_list_range_equals_its_comma_list(self, corpus_path, tmp_path, configs):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"input={corpus_path}\nk_list=1..5\n", encoding="utf-8")
+        for argv in (["--k-list", "1..5"], ["--k-list", "1,2,3,4,5"], ["--config", str(cfg)]):
+            assert main(["run", "--input", str(corpus_path), *argv]) == 0
+        expected = ExperimentConfig(input=str(corpus_path), k_list=(1, 2, 3, 4, 5))
+        assert configs[0] == configs[1] == configs[2] == expected
+
+
 class TestSweepCommand:
     def test_sweep_prints_and_writes(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "sweepdir"
@@ -258,6 +312,15 @@ class TestSweepCommand:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_bad_values_are_a_usage_error_naming_the_flag(self, corpus_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep ran on values it could not parse")
+
+        monkeypatch.setattr(cli, "sweep", fail)
+        argv = ["sweep", "--input", str(corpus_path), "--param", "iterations", "--values", "1,x"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "tagrec: error: --values: expected comma-separated ints\n"
 
 
 class TestGenCommand:
@@ -363,6 +426,46 @@ class TestClusterCommand:
             dumps.append(dump.read_bytes())
         assert dumps[0] == dumps[1]
         assert len({line.split(b"\t")[1] for line in dumps[0].splitlines()}) > 1
+
+
+def _flag(field_name):
+    return "--" + field_name.removeprefix("n_").replace("_", "-")
+
+
+def _subcommand_flags():
+    """Each subcommand's ``{flag: dest}``, in the order the flags were added."""
+    parser = cli._build_parser()
+    (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return {name: {action.option_strings[-1]: action.dest for action in p._actions if action.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+class TestFlags:
+    def test_each_subcommand_has_its_fields_flags_in_field_order(self):
+        experiment_fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        spec_fields = [f.name for f in dataclasses.fields(SyntheticSpec)]
+        split_fields = ["degree_threshold", "split_ratio"]
+        cluster_fields = [*split_fields, "gamma", "avg_cluster_size", "iterations", "seed"]
+        expected = {
+            "run": [*experiment_fields, "config"],
+            "sweep": [*experiment_fields, "config", "param", "values"],
+            "gen": ["output", *spec_fields],
+            "split": ["input", "output", *split_fields],
+            "cluster": ["input", "output", *cluster_fields],
+        }
+        flags = _subcommand_flags()
+        assert list(flags) == list(expected)
+        for command, dests in expected.items():
+            assert list(flags[command].items()) == [(_flag(dest), dest) for dest in dests]
+        assert list(flags["gen"]) == ["--output", "--users", "--items", "--tags", "--communities",
+                                      "--triples-per-user", "--in-community-prob", "--seed"]
+
+    def test_mode_choices_are_the_experiment_modes(self, corpus_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--input", str(corpus_path), "--mode", "all"])
+        assert excinfo.value.code == 1
+        choices = ", ".join(map(repr, experiment.MODES))
+        assert f"argument --mode: invalid choice: 'all' (choose from {choices})" in capsys.readouterr().err
 
 
 class TestOutputPath:

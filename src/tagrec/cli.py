@@ -4,8 +4,7 @@ Subcommands: ``run`` (one experiment), ``sweep`` (one parameter, several
 values), ``gen`` (synthetic corpus), ``split`` (persist a train/test split),
 ``cluster`` (persist a clustering dump). Exit codes: 0 success, 1 usage
 error, 2 data or I/O error. An unusable ``--output`` is reported before any
-work starts. A ``key=value`` config file can seed any run/sweep flag;
-explicit flags override it.
+work starts.
 """
 
 import argparse
@@ -16,13 +15,10 @@ from pathlib import Path
 
 from .clustering import choose_k, coarse_cluster, write_clustering
 from .corpus import DataError, split_summary, write_summary, write_triples
-from .experiment import MODES, SWEEPABLE, ExperimentConfig, prepare_corpus, run_experiment, split_corpus, sweep
+from .experiment import MODES, SWEEPABLE, ExperimentConfig, _prepared, run_experiment, split_corpus, sweep
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = ["main", "run_main"]
-
-# The config-file keys; a field's type picks the parser of its key and of its flag.
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,36 +42,8 @@ def k_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _read_config_file(path) -> dict:
-    values = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
-_PARSE_BY_TYPE = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: k_list}
+# A field's type picks the parser of its flag; a ``bool`` field is a switch.
+_PARSE_BY_TYPE = {int: int, float: float, tuple[int, ...]: k_list}
 
 # The help of the field flags that have one, by field name.
 _HELP = {
@@ -89,15 +57,17 @@ _HELP = {
 def _add_field_flags(parser, cls, names=None) -> None:
     """Add a flag per field of the dataclass ``cls`` (or per field in ``names``), in field order.
 
-    ``--`` plus the field name, less an ``n_`` prefix, ``_`` as ``-``; an
-    omitted flag leaves ``None`` under the field name.
+    ``--`` plus the field name, less an ``n_`` prefix, ``_`` as ``-``; a
+    field without a default is a required flag, and an omitted flag leaves
+    ``None`` under the field name.
     """
     for f in dataclasses.fields(cls):
         if names is None or f.name in names:
             flag = "--" + f.name.removeprefix("n_").replace("_", "-")
             kind = ({"action": "store_true", "default": None} if f.type is bool else
                     {"type": _PARSE_BY_TYPE.get(f.type), "choices": MODES if f.name == "mode" else None})
-            parser.add_argument(flag, dest=f.name, help=_HELP.get(f.name), **kind)
+            parser.add_argument(flag, dest=f.name, required=f.default is dataclasses.MISSING,
+                                help=_HELP.get(f.name), **kind)
 
 
 def _given(args, cls, skip=()) -> dict:
@@ -106,19 +76,9 @@ def _given(args, cls, skip=()) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _build_config(args) -> ExperimentConfig:
-    merged = {}
-    if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            parse = _PARSE_BY_TYPE.get(_FIELD_TYPES[key])
-            try:
-                merged[key] = parse(raw) if parse else raw
-            except ValueError:
-                raise ValueError(f"config key {key}: bad value {raw!r}") from None
-    merged.update(_given(args, ExperimentConfig))
-    if "input" not in merged:
-        raise ValueError("--input is required (flag or config file)")
-    return ExperimentConfig(**merged)
+def _config(args, skip=()) -> ExperimentConfig:
+    """The ``ExperimentConfig`` of the flags in ``args``, less the fields in ``skip``."""
+    return ExperimentConfig(**_given(args, ExperimentConfig, skip))
 
 
 def _print_summary(result):
@@ -165,7 +125,7 @@ def _check_output(path, directory: bool) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _build_config(args)
+    cfg = _config(args)
     if cfg.output is not None:
         _check_output(cfg.output, directory=True)
     result = run_experiment(cfg)
@@ -174,12 +134,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
-    if args.param not in SWEEPABLE:
-        raise ValueError(f"--param must be one of {SWEEPABLE}")
+    cfg = _config(args)
     if cfg.output is not None:
         _check_output(cfg.output, directory=True)
-    cast = _FIELD_TYPES[args.param]
+    cast = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}[args.param]
     try:
         values = [cast(tok) for tok in args.values.split(",") if tok.strip()]
     except ValueError:
@@ -199,17 +157,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _corpus_config(args) -> ExperimentConfig:
-    """The ``ExperimentConfig`` of the flags given to ``split`` or ``cluster``.
-
-    ``--output`` names the command's own output, not a report directory.
-    """
-    return ExperimentConfig(**_given(args, ExperimentConfig, skip=("output",)))
-
-
 def _cmd_split(args) -> int:
     _check_output(args.output, directory=True)
-    filtered, split = split_corpus(_corpus_config(args))
+    filtered, split = split_corpus(_config(args, skip=("output",)))  # --output is the split's directory
     directory = Path(args.output)
     directory.mkdir(parents=True, exist_ok=True)
     write_triples(split.train.interactions(), directory / "train.tsv")
@@ -222,11 +172,11 @@ def _cmd_split(args) -> int:
 
 def _cmd_cluster(args) -> int:
     _check_output(args.output, directory=False)
-    cfg = _corpus_config(args)
-    split, profiles = prepare_corpus(cfg)[1:]
-    k = choose_k(split.train.n_users, cfg.avg_cluster_size)
-    clustering = coarse_cluster(split.train, profiles, k, cfg.iterations, cfg.gamma, cfg.seed)
-    write_clustering(clustering, split.train, args.output)
+    cfg = _config(args, skip=("output",))  # --output is the dump's path
+    train, profiles = _prepared(cfg)[::2]  # the test sets are freed before clustering
+    k = choose_k(train.n_users, cfg.avg_cluster_size)
+    clustering = coarse_cluster(train, profiles, k, cfg.iterations, cfg.gamma, cfg.seed)
+    write_clustering(clustering, train, args.output)
     print(f"wrote {args.output} ({k} clusters, {clustering.nonempty_clusters()} non-empty)")
     return 0
 
@@ -241,8 +191,7 @@ def _build_parser() -> _Parser:
     p_sweep.set_defaults(func=_cmd_sweep)
     for p in (p_run, p_sweep):
         _add_field_flags(p, ExperimentConfig)
-        p.add_argument("--config", help="key=value file supplying defaults for the flags above")
-    p_sweep.add_argument("--param", required=True, help=f"one of {', '.join(SWEEPABLE)}")
+    p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic planted-community corpus")
@@ -257,7 +206,7 @@ def _build_parser() -> _Parser:
          (*split_fields, "gamma", "avg_cluster_size", "iterations", "seed")),
     ):
         p = sub.add_parser(name, help=f"persist a {name} for a corpus")
-        p.add_argument("--input", required=True)
+        _add_field_flags(p, ExperimentConfig, ("input",))
         p.add_argument("--output", required=True, help=out_help)
         _add_field_flags(p, ExperimentConfig, names)
         p.set_defaults(func=handler)

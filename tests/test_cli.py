@@ -4,6 +4,9 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,8 @@ class TestExitCodes:
             (["run", "--timing-runs", "3"], "--timing-runs"),
             ([*sweep, "--degree-mode", "triples"], "--degree-mode"),
             ([*sweep, "--timing-runs", "3"], "--timing-runs"),
+            (["run", "--config", "x"], "--config"),
+            ([*sweep, "--config", "x"], "--config"),
             (["split", "--output", str(tmp_path / "out"), "--degree-mode", "triples"], "--degree-mode"),
             (["cluster", "--output", str(tmp_path / "c.tsv"), "--degree-mode", "triples"], "--degree-mode"),
         ):
@@ -67,14 +72,22 @@ class TestExitCodes:
         code = main(["run", "--input", str(corpus_path), "--mode", "fcum", "--beta", "7"])
         assert code == 1
 
-    def test_missing_input_flag_is_usage_error(self):
-        assert main(["run", "--mode", "ucf"]) == 1
+    def test_missing_input_flag_is_usage_error(self, tmp_path, capsys):
+        for argv in (["run", "--mode", "ucf"], ["sweep", "--param", "iterations", "--values", "1,2"],
+                     ["split", "--output", str(tmp_path / "out")], ["cluster", "--output", str(tmp_path / "c.tsv")]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith(f"usage: tagrec {argv[0]} ")
+            assert err[-1] == f"tagrec {argv[0]}: error: the following arguments are required: --input"
 
-    def test_unknown_sweep_param_is_usage_error(self, corpus_path):
-        code = main(
-            ["sweep", "--input", str(corpus_path), "--param", "threads", "--values", "1,2"]
-        )
-        assert code == 1
+    def test_unknown_sweep_param_is_usage_error(self, corpus_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--input", str(corpus_path), "--param", "threads", "--values", "1,2"])
+        assert excinfo.value.code == 1
+        choices = ", ".join(map(repr, experiment.SWEEPABLE))
+        assert f"argument --param: invalid choice: 'threads' (choose from {choices})" in capsys.readouterr().err
 
     def test_malformed_corpus_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -171,50 +184,22 @@ class TestRunCommand:
         assert combined["timing"]["total_seconds_ratio"] > 0
         assert "recall" in combined["ratios"]
 
-    def test_config_file_supplies_defaults_and_flags_override(self, corpus_path, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            f"input={corpus_path}\nmode=ucf\ndegree_threshold=2\nk_list=1,5\nseed=9\n",
-            encoding="utf-8",
-        )
-        assert main(["run", "--config", str(cfg)]) == 0
-        out = capsys.readouterr().out
-        assert "ucf:" in out and "fcum:" not in out
-        assert main(["run", "--config", str(cfg), "--mode", "fcum", "--avg-cluster-size", "12"]) == 0
-        out = capsys.readouterr().out
-        assert "fcum:" in out and "ucf:" not in out
-
-    def test_config_file_and_flags_give_the_same_config(self, corpus_path, tmp_path):
+    def test_every_field_flag_reaches_the_config(self, corpus_path, tmp_path, configs):
         values = {
-            "input": str(corpus_path), "mode": "fcum", "degree_threshold": "2", "split_ratio": "0.75",
-            "beta": "0.4", "gamma": "0.6", "avg_cluster_size": "12", "iterations": "3",
-            "k_list": "1,5,10", "seed": "9", "output": str(tmp_path / "out"), "dump_ranklists": "yes",
+            "input": str(corpus_path), "mode": "fcum", "degree_threshold": 2, "split_ratio": 0.75,
+            "beta": 0.4, "gamma": 0.6, "avg_cluster_size": 12, "iterations": 3,
+            "k_list": (1, 5, 10), "seed": 9, "output": str(tmp_path / "out"), "dump_ranklists": True,
         }
         assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
-        cfg = tmp_path / "all.cfg"
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
         flags = ["--dump-ranklists"]
         for key, value in values.items():
             if key != "dump_ranklists":
-                flags += [f"--{key.replace('_', '-')}", value]
+                flags += [_flag(key), ",".join(map(str, value)) if key == "k_list" else str(value)]
 
-        seen = []
-        for argv in (["run", "--config", str(cfg)], ["run", *flags]):
-            assert main(argv) == 0
-            out = tmp_path / "out"
-            report = json.loads((out / "fcum.report.json").read_text(encoding="utf-8"))
-            seen.append((report["config"], (out / "fcum.ranklists.tsv").read_bytes()))
-        assert seen[0] == seen[1]
-        echo = seen[0][0]
-        defaults = ExperimentConfig(input="").echo()
-        assert all(echo[key] != default for key, default in defaults.items())
-
-    def test_unknown_config_key_rejected(self, corpus_path, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        for key, value in (("inpt", "x"), ("degree_mode", "triples"), ("timing_runs", "1")):
-            cfg.write_text(f"input={corpus_path}\n{key}={value}\n", encoding="utf-8")
-            assert main(["run", "--config", str(cfg)]) == 1
-            assert f"line 2: unknown config key {key!r}" in capsys.readouterr().err
+        assert main(["run", *flags]) == 0
+        assert configs == [ExperimentConfig(**values)]
+        defaults = ExperimentConfig(input="")
+        assert all(getattr(configs[0], key) != getattr(defaults, key) for key in values)
 
 
 @pytest.fixture
@@ -228,46 +213,6 @@ def configs(monkeypatch):
 
     monkeypatch.setattr(cli, "run_experiment", record)
     return seen
-
-
-class TestConfigFile:
-    def test_comments_and_blank_lines_are_skipped(self, corpus_path, tmp_path, configs):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"# an experiment\n\n   \ninput = {corpus_path}\n  # indented comment\nmode=ucf\n",
-                       encoding="utf-8")
-        assert main(["run", "--config", str(cfg)]) == 0
-        assert main(["run", "--input", str(corpus_path), "--mode", "ucf"]) == 0
-        assert configs[0] == configs[1] == ExperimentConfig(input=str(corpus_path), mode="ucf")
-
-    def test_line_without_equals_is_usage_error(self, corpus_path, tmp_path, capsys, configs):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"input={corpus_path}\nmode ucf\n", encoding="utf-8")
-        assert main(["run", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"tagrec: error: {cfg}: line 2: expected key=value\n"
-        assert configs == []
-
-    def test_unreadable_config_is_data_error(self, corpus_path, tmp_path, capsys, configs):
-        for path in (tmp_path / "ghost.cfg", tmp_path):
-            assert main(["run", "--input", str(corpus_path), "--config", str(path)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"tagrec: data error: {path}: ") and len(err.splitlines()) == 1
-        assert configs == []
-
-    @pytest.mark.parametrize("key, value", [("dump_ranklists", "maybe"), ("seed", "x"), ("k_list", "3..1")])
-    def test_bad_value_is_usage_error_naming_the_key(self, key, value, corpus_path, tmp_path, capsys, configs):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"input={corpus_path}\n{key}={value}\n", encoding="utf-8")
-        assert main(["run", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"tagrec: error: config key {key}: bad value {value!r}\n"
-        assert configs == []
-
-    def test_k_list_range_equals_its_comma_list(self, corpus_path, tmp_path, configs):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"input={corpus_path}\nk_list=1..5\n", encoding="utf-8")
-        for argv in (["--k-list", "1..5"], ["--k-list", "1,2,3,4,5"], ["--config", str(cfg)]):
-            assert main(["run", "--input", str(corpus_path), *argv]) == 0
-        expected = ExperimentConfig(input=str(corpus_path), k_list=(1, 2, 3, 4, 5))
-        assert configs[0] == configs[1] == configs[2] == expected
 
 
 class TestSweepCommand:
@@ -427,17 +372,40 @@ class TestClusterCommand:
         assert dumps[0] == dumps[1]
         assert len({line.split(b"\t")[1] for line in dumps[0].splitlines()}) > 1
 
+    def test_split_is_gone_before_clustering(self, corpus_path, tmp_path, monkeypatch):
+        splits, released = [], []
+        real_split, real_cluster = experiment.temporal_split, cli.coarse_cluster
+
+        def tracked_split(*args):
+            split = real_split(*args)
+            splits.append(weakref.ref(split))
+            return split
+
+        def checked_cluster(*args):
+            released.append([ref() is None for ref in splits])
+            return real_cluster(*args)
+
+        monkeypatch.setattr(experiment, "temporal_split", tracked_split)
+        monkeypatch.setattr(cli, "coarse_cluster", checked_cluster)
+        argv = ["cluster", "--input", str(corpus_path), "--output", str(tmp_path / "c.tsv"), "--degree-threshold", "2"]
+        assert main(argv) == 0
+        assert released == [[True]]
+
 
 def _flag(field_name):
     return "--" + field_name.removeprefix("n_").replace("_", "-")
 
 
-def _subcommand_flags():
-    """Each subcommand's ``{flag: dest}``, in the order the flags were added."""
+def _subparsers():
     parser = cli._build_parser()
     (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _subcommand_flags():
+    """Each subcommand's ``{flag: dest}``, in the order the flags were added."""
     return {name: {action.option_strings[-1]: action.dest for action in p._actions if action.dest != "help"}
-            for name, p in sub.choices.items()}
+            for name, p in _subparsers().items()}
 
 
 class TestFlags:
@@ -447,8 +415,8 @@ class TestFlags:
         split_fields = ["degree_threshold", "split_ratio"]
         cluster_fields = [*split_fields, "gamma", "avg_cluster_size", "iterations", "seed"]
         expected = {
-            "run": [*experiment_fields, "config"],
-            "sweep": [*experiment_fields, "config", "param", "values"],
+            "run": experiment_fields,
+            "sweep": [*experiment_fields, "param", "values"],
             "gen": ["output", *spec_fields],
             "split": ["input", "output", *split_fields],
             "cluster": ["input", "output", *cluster_fields],
@@ -459,6 +427,15 @@ class TestFlags:
             assert list(flags[command].items()) == [(_flag(dest), dest) for dest in dests]
         assert list(flags["gen"]) == ["--output", "--users", "--items", "--tags", "--communities",
                                       "--triples-per-user", "--in-community-prob", "--seed"]
+        required = {name: [action.dest for action in p._actions if action.required]
+                    for name, p in _subparsers().items()}
+        assert required == {"run": ["input"], "sweep": ["input", "param", "values"], "gen": ["output"],
+                            "split": ["input", "output"], "cluster": ["input", "output"]}
+
+    def test_k_list_range_equals_its_comma_list(self, corpus_path, configs):
+        for argv in (["--k-list", "1..5"], ["--k-list", "1,2,3,4,5"]):
+            assert main(["run", "--input", str(corpus_path), *argv]) == 0
+        assert configs == [ExperimentConfig(input=str(corpus_path), k_list=(1, 2, 3, 4, 5))] * 2
 
     def test_mode_choices_are_the_experiment_modes(self, corpus_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -483,8 +460,9 @@ class TestOutputPath:
         def fail(*args, **kwargs):
             raise AssertionError("the command started work despite an unusable --output")
 
-        for name in ("run_experiment", "sweep", "prepare_corpus", "split_corpus", "generate_synthetic"):
+        for name in ("run_experiment", "sweep", "split_corpus", "generate_synthetic"):
             monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(experiment, "prepare_corpus", fail)  # what cluster's _prepared calls
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_unusable_output_is_io_error_before_any_work(self, command, corpus_path, tmp_path, capsys, no_work):
@@ -519,3 +497,20 @@ class TestOutputPath:
         assert main(["cluster", "--input", str(corpus_path), "--output", str(dump)]) == 2
         assert "does not exist" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_parse():
+    """Every ``tagrec ...`` command in README's code blocks and inline code parses, continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    inline = re.findall(r"`(tagrec [^`]+)`", re.sub(r"^```.*?^```", "", text, flags=re.M | re.S))
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("tagrec ")]
+    commands += [shlex.split(code)[1:] for code in inline]
+    assert {argv[0] for argv in commands} >= {"gen", "run", "sweep"}
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

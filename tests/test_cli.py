@@ -72,6 +72,25 @@ class TestExitCodes:
         code = main(["run", "--input", str(corpus_path), "--mode", "fcum", "--beta", "7"])
         assert code == 1
 
+    @pytest.mark.parametrize("field, value, line", [
+        ("mode", "x", "tagrec run: error: argument --mode: invalid choice: 'x' (choose from 'ucf', 'fcum', 'both')"),
+        ("degree_threshold", "x", "tagrec run: error: argument --degree-threshold: invalid int value: 'x'"),
+        ("split_ratio", "x", "tagrec run: error: argument --split-ratio: invalid float value: 'x'"),
+        ("beta", "x", "tagrec run: error: argument --beta: invalid float value: 'x'"),
+        ("gamma", "x", "tagrec run: error: argument --gamma: invalid float value: 'x'"),
+        ("avg_cluster_size", "1.5", "tagrec run: error: argument --avg-cluster-size: invalid int value: '1.5'"),
+        ("iterations", "x", "tagrec run: error: argument --iterations: invalid int value: 'x'"),
+        ("seed", "x", "tagrec run: error: argument --seed: invalid int value: 'x'"),
+        ("dump_ranklists", "yes", "tagrec: error: unrecognized arguments: yes"),  # a bool field is a bare switch
+    ])
+    def test_unparsable_field_value_is_usage_error_naming_the_flag(self, field, value, line, corpus_path,
+                                                                   capsys, configs):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--input", str(corpus_path), _flag(field), value])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == line
+        assert configs == []
+
     def test_missing_input_flag_is_usage_error(self, tmp_path, capsys):
         for argv in (["run", "--mode", "ucf"], ["sweep", "--param", "iterations", "--values", "1,2"],
                      ["split", "--output", str(tmp_path / "out")], ["cluster", "--output", str(tmp_path / "c.tsv")]):

@@ -13,7 +13,6 @@ from .clustering import (
     Centroid,
     Clustering,
     choose_k,
-    cluster_tag_counts,
     coarse_cluster,
     compute_centroid,
     init_assignment,

@@ -219,8 +219,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit:
-        raise
     except ValueError as exc:
         print(f"tagrec: error: {exc}", file=sys.stderr)
         return 1

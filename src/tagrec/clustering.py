@@ -19,7 +19,8 @@ version, and no float centroid is built per round. Clusters whose cosines
 tie, exactly or within 1e-9, are compared with ``user_centroid_similarity``
 on float centroids, which defines the assignment, so the result is the one
 float centroids give, bit for bit. Float ``Centroid`` objects are otherwise
-built only for the final partition, for output and the item pools.
+built only for the final partition, for output: their item and tag keys are
+each cluster's item pool and distinct tags, which give its scoring work.
 """
 
 import math
@@ -39,7 +40,6 @@ __all__ = [
     "compute_centroid",
     "user_centroid_similarity",
     "coarse_cluster",
-    "cluster_tag_counts",
     "write_clustering",
 ]
 
@@ -280,15 +280,6 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
         iterations_run=iterations,
         coordinate_ops=ops,
     )
-
-
-def cluster_tag_counts(clustering: Clustering, train) -> list[int]:
-    """Number of distinct tags used by each cluster's members, from one pass over ``train.triples``."""
-    tags = [set() for _ in range(clustering.k)]
-    cluster_of = clustering.assignment
-    for u, _, t, _ in train.triples:
-        tags[cluster_of[u]].add(t)
-    return list(map(len, tags))
 
 
 def write_clustering(clustering: Clustering, train, path) -> None:

@@ -28,20 +28,6 @@ class MetricsAtK:
     f1: float
 
 
-def _hit_counts(ranklists, test_sets, k) -> list[tuple[int, int]]:
-    """Each user's (top-k hits, test set size), in ascending user order."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    counts = []
-    for u in sorted(ranklists):
-        ts = test_sets.get(u)
-        if ts is None or len(ts) == 0:
-            raise ValueError(f"user {u} has an empty or missing test set")
-        items = ts.items
-        counts.append((sum(1 for item, _ in ranklists[u].entries[:k] if item in items), len(ts)))
-    return counts
-
-
 def recall_at_k(ranklists, test_sets, k: int) -> float:
     """Mean over users of |top-k hits| / |test set|.
 
@@ -66,13 +52,20 @@ def f1_at_k(precision: float, recall: float) -> float:
 
 
 def metrics_at_k(ranklists, test_sets, k: int) -> MetricsAtK:
-    """Recall, precision and F1 at ``k`` from one count of each user's hits."""
-    counts = _hit_counts(ranklists, test_sets, k)
-    recall = 0.0
-    for hits, size in counts:
-        recall += hits / size
-    recall /= len(counts)
-    precision = sum(hits for hits, _ in counts) / (len(counts) * k)
+    """Recall, precision and F1 at ``k`` from one count of each user's hits, in ascending user order."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    recall, total_hits = 0.0, 0
+    for u in sorted(ranklists):
+        ts = test_sets.get(u)
+        if ts is None or len(ts) == 0:
+            raise ValueError(f"user {u} has an empty or missing test set")
+        items = ts.items
+        hits = sum(1 for item, _ in ranklists[u].entries[:k] if item in items)
+        recall += hits / len(ts)
+        total_hits += hits
+    recall /= len(ranklists)
+    precision = total_hits / (len(ranklists) * k)
     return MetricsAtK(k=k, recall=recall, precision=precision, f1=f1_at_k(precision, recall))
 
 

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clustering import choose_k, cluster_tag_counts, coarse_cluster
+from .clustering import choose_k, coarse_cluster
 from .corpus import DataError, filter_by_degree, read_graph, temporal_split
 from .evaluate import EvalReport, metrics_at_k, report_dict, write_json, write_report
 from .profiles import build_profiles
@@ -104,9 +104,12 @@ def ucf_scored_work(train) -> int:
 
 
 def fcum_scored_work(clustering, train) -> int:
-    """Per-cluster work counter summed over clusters: n_j * (n_j * pool size + distinct tags), 0 if empty."""
-    clusters = zip(clustering.user_clusters, clustering.item_clusters, cluster_tag_counts(clustering, train))
-    return sum(len(members) * (len(members) * len(pool) + n_tags) for members, pool, n_tags in clusters)
+    """Per-cluster work counter summed over clusters: n_j * (n_j * pool size + distinct tags), 0 if empty.
+
+    The pool sizes and tag counts are the final centroids' key counts; ``train`` is not read.
+    """
+    return sum(len(members) * (len(members) * len(c.item_part) + len(c.tag_part))
+               for members, c in zip(clustering.user_clusters, clustering.centroids) if c is not None)
 
 
 def _rank(mode, train, profiles, cfg, kmax, users=None):
@@ -132,12 +135,13 @@ def _rank(mode, train, profiles, cfg, kmax, users=None):
 
 def _report(mode, train, test_sets, cfg, clustering, ranklists, timing):
     """Evaluate one mode's ranklists; return ``(report, ranklists)``, with any clustering's work counters."""
+    ucf_work = ucf_scored_work(train)
     work = {
         "users": train.n_users,
         "items": train.n_items,
         "tags": train.n_tags,
-        "scored_work": ucf_scored_work(train),
-        "ucf_scored_work": ucf_scored_work(train),
+        "scored_work": ucf_work,
+        "ucf_scored_work": ucf_work,
     }
     if clustering is not None:
         work.update(
@@ -157,7 +161,8 @@ def _report(mode, train, test_sets, cfg, clustering, ranklists, timing):
     return report, ranklists
 
 
-def _ratios(reports, k_list) -> dict:
+def _ratios(reports) -> dict:
+    """fcum/ucf ratios, None where ucf's value is 0; both reports' ``per_k`` follow ``cfg.k_list``."""
     ucf, fcum = reports["ucf"], reports["fcum"]
     ucf_total = ucf.timing["total_seconds"]
     out = {
@@ -166,13 +171,10 @@ def _ratios(reports, k_list) -> dict:
         "precision": {},
         "f1": {},
     }
-    by_k_ucf = {m.k: m for m in ucf.per_k}
-    by_k_fcum = {m.k: m for m in fcum.per_k}
-    for k in k_list:
-        mu, mf = by_k_ucf[k], by_k_fcum[k]
+    for mu, mf in zip(ucf.per_k, fcum.per_k):
         for name in ("recall", "precision", "f1"):
             base = getattr(mu, name)
-            out[name][str(k)] = (getattr(mf, name) / base) if base > 0 else None
+            out[name][str(mu.k)] = (getattr(mf, name) / base) if base > 0 else None
     return out
 
 
@@ -321,7 +323,7 @@ def _run_prepared(cfg: ExperimentConfig, train, test_sets, profiles) -> Experime
     modes_wall_seconds = time.perf_counter() - start
 
     reports = {mode: report for mode, (report, _) in runs.items()}
-    ratios = _ratios(reports, cfg.k_list) if len(reports) == 2 else None
+    ratios = _ratios(reports) if len(reports) == 2 else None
     result = ExperimentResult(reports=reports, ratios=ratios, modes_wall_seconds=modes_wall_seconds)
 
     if cfg.output is not None:

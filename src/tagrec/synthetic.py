@@ -51,8 +51,6 @@ def _pool_size(n: int, n_comm: int, comm: int) -> int:
 
 
 def _draw(rng: random.Random, n: int, n_comm: int, comm: int, own: bool) -> int:
-    if n_comm == 1:
-        return rng.randrange(n)
     if own:
         return comm + n_comm * rng.randrange(_pool_size(n, n_comm, comm))
     while True:  # rejection keeps the out-of-community draw exactly uniform

@@ -6,13 +6,13 @@ import pytest
 from tagrec.clustering import (
     Centroid,
     choose_k,
-    cluster_tag_counts,
     coarse_cluster,
     compute_centroid,
     init_assignment,
     user_centroid_similarity,
     write_clustering,
 )
+from tagrec.experiment import fcum_scored_work
 from tagrec.profiles import UserProfile, build_profiles
 
 from conftest import make_graph
@@ -272,12 +272,22 @@ class TestCoarseCluster:
         assert coarse_cluster(split.train, profiles, 3, 5, 0.5, 1).iterations_run == 5
 
 
-class TestClusterTagCount:
+def brute_force_work(clustering, profiles) -> int:
+    """Sum over clusters of n_j * (n_j * |union of items| + |union of tags|), from the profiles."""
+    work = 0
+    for members in clustering.user_clusters:
+        items = {i for u in members for i in profiles[u].items_sorted}
+        tags = {t for u in members for t in profiles[u].tags_sorted}
+        work += len(members) * (len(members) * len(items) + len(tags))
+    return work
+
+
+class TestFcumScoredWork:
     def test_singleton(self):
         g = make_graph([("u1", "r1", "t1", 1), ("u1", "r1", "t2", 2), ("u1", "r2", "t3", 3)])
         profiles = build_profiles(g)
         clustering = coarse_cluster(g, profiles, 1, 1, 0.5, 0)
-        assert cluster_tag_counts(clustering, g) == [3]
+        assert fcum_scored_work(clustering, g) == brute_force_work(clustering, profiles) == 1 * (1 * 2 + 3)
 
     def test_union_of_two_users(self):
         g = make_graph(
@@ -290,24 +300,28 @@ class TestClusterTagCount:
         )
         profiles = build_profiles(g)
         clustering = coarse_cluster(g, profiles, 1, 1, 0.5, 0)
-        assert cluster_tag_counts(clustering, g) == [3]
+        assert fcum_scored_work(clustering, g) == brute_force_work(clustering, profiles) == 2 * (2 * 2 + 3)
 
-    def test_empty_cluster(self):
+    def test_empty_cluster_adds_nothing(self):
         g = make_graph([("u1", "r1", "t1", 1)])
         profiles = build_profiles(g)
         clustering = coarse_cluster(g, profiles, 2, 1, 0.5, 0)
         empty = [j for j, members in enumerate(clustering.user_clusters) if not members]
-        assert empty and cluster_tag_counts(clustering, g)[empty[0]] == 0
+        assert empty and clustering.centroids[empty[0]] is None
+        assert fcum_scored_work(clustering, g) == brute_force_work(clustering, profiles) == 1 * (1 * 1 + 1)
 
-    def test_counts_of_every_cluster_equal_the_union_of_its_members_tags(self):
+    def test_work_of_random_graphs_equals_the_brute_force_sum(self):
         rng = random.Random(99)
         for case in range(30):
             g = random_graph(rng, max_users=15)
             profiles = build_profiles(g)
             clustering = coarse_cluster(g, profiles, 1 + case % 4, 2, 0.5, case)
-            want = [len({t for u in members for t in profiles[u].tags_sorted})
-                    for members in clustering.user_clusters]
-            assert cluster_tag_counts(clustering, g) == want
+            # the work counter takes each cluster's distinct tags from its centroid's tag keys
+            want_tags = [len({t for u in members for t in profiles[u].tags_sorted})
+                         for members in clustering.user_clusters]
+            assert [len(c.tag_part) if c is not None else 0 for c in clustering.centroids] == want_tags
+            # the train graph is not read: the centroids carry every count
+            assert fcum_scored_work(clustering, None) == brute_force_work(clustering, profiles)
 
 
 class TestWriteClustering:

@@ -14,6 +14,7 @@ import pytest
 
 from tagrec import experiment
 from tagrec.corpus import DataError, TripartiteGraph
+from tagrec.evaluate import EvalReport, MetricsAtK
 from tagrec.experiment import ExperimentConfig, run_experiment, sweep
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
 
@@ -124,6 +125,28 @@ class TestRunExperiment:
             assert doc_a == doc_b
         combined_a = json.loads((out_a / "combined.json").read_text())
         assert set(combined_a) == {"config", "ucf", "fcum", "ratios", "timing"}
+
+    def test_ratios_pair_the_modes_metrics_at_the_same_k(self, corpus_path, tmp_path):
+        result = run_experiment(config(corpus_path, k_list=(10, 5, 5, 20), output=str(tmp_path)))
+        ratios = json.loads((tmp_path / "combined.json").read_text())["ratios"]
+        ucf = {m.k: m for m in result.reports["ucf"].per_k}
+        fcum = {m.k: m for m in result.reports["fcum"].per_k}
+        for name in ("recall", "precision", "f1"):
+            assert list(ratios[name]) == ["10", "20", "5"]  # key-sorted JSON
+            for k in (5, 10, 20):
+                base = getattr(ucf[k], name)
+                assert ratios[name][str(k)] == (getattr(fcum[k], name) / base if base > 0 else None)
+
+    def test_a_ratio_over_a_zero_baseline_is_none(self):
+        def report(mode, seconds, *per_k):
+            return EvalReport(mode, [MetricsAtK(k, *values) for k, values in per_k], {"total_seconds": seconds})
+
+        ratios = experiment._ratios({
+            "ucf": report("ucf", 0.0, (1, (0.0, 0.0, 0.0)), (5, (0.5, 0.25, 0.2))),
+            "fcum": report("fcum", 1.0, (1, (0.1, 0.1, 0.1)), (5, (0.25, 0.5, 0.1))),
+        })
+        assert ratios == {"total_seconds": None, "recall": {"1": None, "5": 0.5},
+                          "precision": {"1": None, "5": 2.0}, "f1": {"1": None, "5": 0.5}}
 
     def test_overaggressive_threshold_is_a_data_error(self, corpus_path):
         with pytest.raises(DataError, match="lower"):

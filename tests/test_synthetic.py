@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -6,6 +7,9 @@ from tagrec.clustering import coarse_cluster
 from tagrec.corpus import build_graph, write_triples
 from tagrec.profiles import build_profiles
 from tagrec.synthetic import SyntheticSpec, generate_interactions, generate_synthetic
+
+# ``small_spec(n_communities=1, in_community_prob=1.0)``, taken when one community had its own draw branch
+ONE_COMMUNITY_PINNED = "136a2084ca9795dbcdeaeeeb3cc9008590edafa018355de661038dedaa086cbd"
 
 
 def small_spec(**overrides):
@@ -116,6 +120,11 @@ class TestGeneration:
                 comm = int(graph.users[u][1:]) % 2
                 labels.setdefault(j, set()).add(comm)
             assert all(len(comms) == 1 for comms in labels.values())
+
+    def test_single_community_corpus_is_pinned(self, tmp_path):
+        # with one community every draw is an own-pool draw over the whole range
+        path = generate_synthetic(small_spec(n_communities=1, in_community_prob=1.0), tmp_path / "one.tsv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ONE_COMMUNITY_PINNED
 
     def test_single_community_is_uniform_noise(self):
         spec = small_spec(n_communities=1, in_community_prob=1.0)

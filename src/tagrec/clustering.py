@@ -26,7 +26,7 @@ each cluster's item pool and distinct tags, which give its scoring work.
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .corpus import _atomic_open
@@ -44,27 +44,23 @@ __all__ = [
 ]
 
 
+@dataclass(slots=True)
 class Centroid:
     """Sparse mean of a cluster's binary item and tag vectors.
 
     Coordinates are kept in ascending index order; each value is the fraction
-    of members containing that index, so it lies in (0, 1].
+    of members containing that index, so it lies in (0, 1]. The squared norms
+    are derived from the parts, so equality compares the parts alone.
     """
 
-    __slots__ = ("item_part", "tag_part", "item_norm_sq", "tag_norm_sq")
+    item_part: dict[int, float]
+    tag_part: dict[int, float]
+    item_norm_sq: float = field(init=False, compare=False)
+    tag_norm_sq: float = field(init=False, compare=False)
 
-    def __init__(self, item_part: dict[int, float], tag_part: dict[int, float]):
-        self.item_part = item_part
-        self.tag_part = tag_part
-        self.item_norm_sq = _norm_sq_ordered(item_part)
-        self.tag_norm_sq = _norm_sq_ordered(tag_part)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Centroid)
-            and self.item_part == other.item_part
-            and self.tag_part == other.tag_part
-        )
+    def __post_init__(self):
+        self.item_norm_sq = _norm_sq_ordered(self.item_part)
+        self.tag_norm_sq = _norm_sq_ordered(self.tag_part)
 
     def __repr__(self):
         return f"Centroid(items={len(self.item_part)}, tags={len(self.tag_part)})"
@@ -148,8 +144,10 @@ class Clustering:
     ``user_clusters`` partition all users; ``item_clusters[j]`` is the exact
     union of cluster ``j``'s members' item sets (sorted). ``centroids`` are
     recomputed from the final partition so they describe the clusters as
-    returned. ``coordinate_ops`` counts sparse coordinate touches, for cost
-    accounting.
+    returned. ``coordinate_ops`` is a nominal cost, not a count of what the
+    rounds touch: the number of profile entries (items plus tags, over all
+    users) times one plus the number of non-empty clusters, summed over the
+    rounds. It is kept because the benchmark (``perfbench``) reads it.
     """
 
     k: int

@@ -54,6 +54,7 @@ class Interaction(NamedTuple):
     timestamp: int
 
 
+@dataclass(slots=True)
 class TripartiteGraph:
     """Interned users/items/tags plus the triple store.
 
@@ -62,13 +63,10 @@ class TripartiteGraph:
     referenced by at least one triple; construction guarantees this.
     """
 
-    __slots__ = ("users", "items", "tags", "triples")
-
-    def __init__(self, users, items, tags, triples):
-        self.users: tuple[str, ...] = users
-        self.items: tuple[str, ...] = items
-        self.tags: tuple[str, ...] = tags
-        self.triples: list[tuple[int, int, int, int]] = triples
+    users: tuple[str, ...]
+    items: tuple[str, ...]
+    tags: tuple[str, ...]
+    triples: list[tuple[int, int, int, int]]
 
     @property
     def n_users(self) -> int:
@@ -90,15 +88,6 @@ class TripartiteGraph:
         """Yield the stored triples as externally-identified records, in storage order."""
         for u, r, t, ts in self.triples:
             yield Interaction(self.users[u], self.items[r], self.tags[t], ts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TripartiteGraph)
-            and self.users == other.users
-            and self.items == other.items
-            and self.tags == other.tags
-            and self.triples == other.triples
-        )
 
     def __repr__(self):
         return (
@@ -142,10 +131,13 @@ def parse_triples(lines) -> list[Interaction]:
 
 
 def _read(path, consume):
-    """``consume`` the UTF-8 text file at ``path``; every failure is a DataError naming the file."""
+    """``consume`` the UTF-8 text file at ``path``, less any leading byte-order mark.
+
+    Every failure is a DataError naming the file.
+    """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("r", encoding="utf-8-sig") as fh:
             return consume(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -55,6 +55,8 @@ def metrics_at_k(ranklists, test_sets, k: int) -> MetricsAtK:
     """Recall, precision and F1 at ``k`` from one count of each user's hits, in ascending user order."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    if not ranklists:
+        raise ValueError("no ranklists to score")
     recall, total_hits = 0.0, 0
     for u in sorted(ranklists):
         ts = test_sets.get(u)

@@ -11,6 +11,7 @@ and tag-side cosines with ``beta``.
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 
 __all__ = [
     "UserProfile",
@@ -21,24 +22,19 @@ __all__ = [
 ]
 
 
+@dataclass(slots=True)
 class UserProfile:
-    """A user's distinct item and tag indices, each an ascending tuple."""
+    """A user's distinct item and tag indices, each an ascending tuple made from any iterable."""
 
-    __slots__ = ("items_sorted", "tags_sorted")
+    items_sorted: tuple[int, ...]
+    tags_sorted: tuple[int, ...]
 
-    def __init__(self, items, tags):
-        self.items_sorted: tuple[int, ...] = tuple(sorted(set(items)))
-        self.tags_sorted: tuple[int, ...] = tuple(sorted(set(tags)))
+    def __post_init__(self):
+        self.items_sorted = tuple(sorted(set(self.items_sorted)))
+        self.tags_sorted = tuple(sorted(set(self.tags_sorted)))
 
     item_set = property(lambda self: frozenset(self.items_sorted), doc="The item indices, a new frozenset.")
     tag_set = property(lambda self: frozenset(self.tags_sorted), doc="The tag indices, a new frozenset.")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UserProfile)
-            and self.items_sorted == other.items_sorted
-            and self.tags_sorted == other.tags_sorted
-        )
 
     def __repr__(self):
         return f"UserProfile(items={len(self.items_sorted)}, tags={len(self.tags_sorted)})"

@@ -88,6 +88,16 @@ class TestParseTriples:
         assert read_graph(path) == want
         assert build_graph(tuple(rec) for rec in records) == want
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        text = "u1\tr1\tt1\t1\nu1\tr2\tt1\t2\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_graph(marked) == read_graph(plain)
+        assert read_graph(marked).users == ("u1",)
+        assert read_triples(marked) == read_triples(plain)
+
 
 class TestBuildGraph:
     def test_projections(self):

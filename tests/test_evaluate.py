@@ -68,6 +68,11 @@ class TestRecall:
         with pytest.raises(ValueError):
             recall_at_k({0: ranklist(0, [1])}, {}, 1)
 
+    def test_no_ranklists_rejected(self):
+        for metric in (metrics_at_k, recall_at_k, precision_at_k):
+            with pytest.raises(ValueError, match="no ranklists"):
+                metric({}, {0: held_out({1})}, 5)
+
 
 class TestPrecision:
     def test_one_hit_in_five(self):

@@ -18,6 +18,11 @@ configuration echo lost those two keys. Putting ``"degree_mode": "triples"``
 and ``"timing_runs": 1`` back into each echo gives the earlier pins
 (``0ce081c1...`` and ``608a91a6...``) exactly, so nothing else changed.
 
+The ``--mode both`` sweep pin (``sweep.json`` without its ``timing``
+section, over three average cluster sizes) was taken from the code as it
+was before the graph, the user profile and the centroid were declared as
+dataclasses.
+
 The ``cluster`` pin (the ``user<TAB>cluster`` dump) was taken before each
 clustering round came to read its cluster norms from the user-cluster dot
 table and the item pools came to be read off the final centroids.
@@ -71,6 +76,12 @@ SWEEP_ARGS = [
     "--param", "iterations", "--values", "1,2",
 ]
 SWEEP_PINNED = "e8542e2b6c6a24a42b14b2391acc61f3947ffd453746795b7c076d4a98b6efa6"
+BOTH_SWEEP_ARGS = [
+    "sweep", "--input", "corpus.tsv", "--output", "out", "--mode", "both",
+    "--degree-threshold", "2", "--avg-cluster-size", "20", "--k-list", "1..20",
+    "--param", "avg_cluster_size", "--values", "10,20,40",
+]
+BOTH_SWEEP_PINNED = "67c6db8e4f2ff1f485fe6c6b538b2256ab14061c23843301f64e0e463f310b7a"
 CLUSTER_ARGS = [
     "cluster", "--input", "corpus.tsv", "--output", "clusters.tsv",
     "--degree-threshold", "2", "--avg-cluster-size", "20", "--iterations", "3",
@@ -159,6 +170,13 @@ def test_sweep_output_matches_pinned_digest(tmp_path, hash_seed):
     generate_synthetic(SPEC, tmp_path / "corpus.tsv")
     _run_cli(tmp_path, hash_seed, SWEEP_ARGS)
     assert _untimed_digest(tmp_path / "out" / "sweep.json") == SWEEP_PINNED
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_both_mode_sweep_output_matches_pinned_digest(tmp_path, hash_seed):
+    generate_synthetic(SPEC, tmp_path / "corpus.tsv")
+    _run_cli(tmp_path, hash_seed, BOTH_SWEEP_ARGS)
+    assert _untimed_digest(tmp_path / "out" / "sweep.json") == BOTH_SWEEP_PINNED
 
 
 def test_sweep_of_both_modes_is_identical_without_timing(tmp_path):

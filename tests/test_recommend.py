@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -308,3 +309,91 @@ class TestWriteRanklists:
         sim = user_similarity(profiles[0], profiles[1], 0.5)
         assert lines[0] == f"alice\t1\trX\t{sim:.6f}"
         assert all(len(line.split("\t")) == 4 for line in lines)
+
+
+def direct_ranking(u, members, pool, profiles, beta, k):
+    """The top k of ``pool`` for ``u`` by score(), by descending score and then item."""
+    direct = [(r, score(u, r, members, profiles, beta)) for r in pool]
+    return sorted(((r, s) for r, s in direct if s >= 0.0), key=lambda e: (-e[1], e[0]))[:k]
+
+
+class TestTopKStop:
+    """The kernel's walk in descending holder count, and its stop, give score()'s ranklists bit for bit."""
+
+    def test_matches_direct_scores_on_random_graphs(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            g = random_graph(rng, max_users=25, max_items=60, max_tags=10, min_triples_per_user=rng.randint(1, 12))
+            profiles = build_profiles(g)
+            everyone = range(g.n_users)
+            beta = rng.choice((0.0, 0.5, 1.0))
+            for k in (1, 5, g.n_items + 3):  # the last exceeds every candidate count: whole lists, zero tails
+                out = rank_ucf(g, profiles, beta, k)
+                for u in everyone:
+                    assert list(out[u].entries) == direct_ranking(u, everyone, range(g.n_items), profiles, beta, k)
+
+    def test_matches_direct_scores_on_clusters_with_noncontiguous_members(self):
+        rng = random.Random(89)
+        gapped = zero_tails = 0
+        for _ in range(30):
+            g = random_graph(rng, max_users=30, max_items=50, max_tags=10, min_triples_per_user=4)
+            profiles = build_profiles(g)
+            clustering = coarse_cluster(g, profiles, rng.randint(2, 4), 2, 0.5, seed=rng.randrange(1000))
+            gapped += sum(1 for m in clustering.user_clusters if m and len(m) < m[-1] - m[0] + 1)
+            for k in (1, 60):  # 60 exceeds every pool
+                out = rank_fcum(clustering, g, profiles, 0.5, k)
+                for members, pool in zip(clustering.user_clusters, clustering.item_clusters):
+                    for u in members:
+                        assert list(out[u].entries) == direct_ranking(u, members, pool, profiles, 0.5, k)
+                zero_tails += sum(1 for r in out.values() if r.entries and r.entries[-1][1] == 0.0)
+        assert gapped and zero_tails
+
+    def test_cluster_members_in_any_order_give_the_same_ranklists(self):
+        # each item's holders are summed in ascending user order whatever
+        # order a cluster lists its members in, so the floats do not change
+        rng = random.Random(101)
+        reordered = 0
+        for _ in range(20):
+            g = random_graph(rng, max_users=30, max_items=50, max_tags=10, min_triples_per_user=4)
+            profiles = build_profiles(g)
+            clustering = coarse_cluster(g, profiles, rng.randint(2, 4), 2, 0.5, seed=rng.randrange(1000))
+            shuffled = dataclasses.replace(
+                clustering, user_clusters=tuple(tuple(rng.sample(m, len(m))) for m in clustering.user_clusters))
+            reordered += shuffled.user_clusters != clustering.user_clusters
+            out = rank_fcum(shuffled, g, profiles, 0.5, 10)
+            assert out == rank_fcum(clustering, g, profiles, 0.5, 10)
+            for members, pool in zip(clustering.user_clusters, clustering.item_clusters):
+                for u in members:
+                    assert list(out[u].entries) == direct_ranking(u, members, pool, profiles, 0.5, 10)
+        assert reordered
+
+    def test_stop_matches_direct_scores(self):
+        # many users and a pool far larger than k: half of the picks go to ten
+        # popular items, so the walk stops long before the one-holder items
+        rng = random.Random(97)
+        rows = [(f"u{u}", f"r{rng.randrange(rng.choice((10, 300)))}", f"t{rng.randrange(8)}")
+                for u in range(60) for _ in range(20)]
+        g = make_graph(rows)
+        profiles = build_profiles(g)
+        everyone = range(g.n_users)
+        out = rank_ucf(g, profiles, 0.5, 5)
+        for u, ranklist in out.items():
+            assert list(ranklist.entries) == direct_ranking(u, everyone, range(g.n_items), profiles, 0.5, 5)
+
+    def test_an_item_whose_bound_equals_the_kth_score_is_still_ranked(self):
+        # six identical neighbours v_i hold shared, only_i and w_i; z, who shares
+        # nothing with u, also holds every w_i. Every candidate scores the one
+        # similarity s: w_i (2 holders, bound 2s) is scored first, and then each
+        # only_i has bound s before the float margin, equal to its own score and
+        # to the 3rd best score, so the strict stop must still score it, and the
+        # ranking is in item order
+        rows = [("u", "shared", "t")]
+        for i in range(6):
+            rows += [(f"v{i}", "shared", "t"), (f"v{i}", f"only{i}", "t"), (f"v{i}", f"w{i}", "t")]
+        rows += [("z", f"w{i}", "tz") for i in range(6)]
+        g = make_graph(rows)
+        profiles = build_profiles(g)
+        u = g.users.index("u")
+        sim = user_similarity(profiles[u], profiles[g.users.index("v0")], 0.5)
+        expected = tuple((g.items.index(name), sim) for name in ("only0", "w0", "only1"))
+        assert rank_ucf(g, profiles, 0.5, 3)[u].entries == expected

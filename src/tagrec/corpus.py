@@ -174,9 +174,9 @@ def _atomic_open(path):
 
 
 def write_triples(interactions, path) -> None:
+    """Write (user, item, tag, timestamp) 4-tuples, such as ``Interaction`` records, one TSV line each."""
     with _atomic_open(path) as fh:
-        for rec in interactions:
-            fh.write(f"{rec.user}\t{rec.item}\t{rec.tag}\t{rec.timestamp}\n")
+        fh.writelines(f"{u}\t{r}\t{t}\t{ts}\n" for u, r, t, ts in interactions)
 
 
 def build_graph(interactions) -> TripartiteGraph:

@@ -75,6 +75,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.avg_cluster_size < 1 or self.iterations < 1:
             raise ValueError("avg_cluster_size and iterations must be positive")
+        if self.seed < 0:  # random.Random seeds with abs(seed), so -s would deal s's clusters
+            raise ValueError("seed must be non-negative")
         ks = tuple(sorted(set(int(k) for k in self.k_list)))
         if not ks or ks[0] < 1:
             raise ValueError("k_list must contain positive integers")

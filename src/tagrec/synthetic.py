@@ -10,6 +10,7 @@ so the temporal split holds out each user's last interactions.
 
 import random
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 
 from .corpus import Interaction, write_triples
@@ -44,37 +45,60 @@ class SyntheticSpec:
             raise ValueError("in_community_prob must be in [0, 1]")
         if self.in_community_prob < 1.0 / self.n_communities:
             raise ValueError("in_community_prob below 1/n_communities gives no planted signal")
+        if self.seed < 0:  # random.Random seeds with abs(seed), so -s would repeat s's corpus
+            raise ValueError("seed must be non-negative")
 
 
-def _pool_size(n: int, n_comm: int, comm: int) -> int:
-    return len(range(comm, n, n_comm))
-
-
-def _draw(rng: random.Random, n: int, n_comm: int, comm: int, own: bool) -> int:
-    if own:
-        return comm + n_comm * rng.randrange(_pool_size(n, n_comm, comm))
-    while True:  # rejection keeps the out-of-community draw exactly uniform
-        x = rng.randrange(n)
-        if x % n_comm != comm:
-            return x
+def _pools(n: int, n_comm: int) -> list[tuple[int, int]]:
+    """Each community's pool size in ``range(n)`` and the bit length of that size."""
+    sizes = (len(range(comm, n, n_comm)) for comm in range(n_comm))
+    return [(size, size.bit_length()) for size in sizes]
 
 
 def _interactions(spec: SyntheticSpec):
-    """Yield the spec's records in order, each drawn when it is asked for."""
+    """Yield the spec's ``(user, item, tag, timestamp)`` records in order, each drawn when asked for.
+
+    Each record takes ``random()`` for the own/out choice (none with one
+    community), then its item, then its tag. Every index is drawn as
+    ``Random.randrange(n)`` draws it, ``getrandbits(n.bit_length())`` until
+    below ``n``: an own-pool index over the community's pool, an
+    out-of-community index over ``range(n)``, drawn again while it falls in the
+    user's community. So a seed gives the corpus of one ``randrange`` per index.
+    """
     rng = random.Random(spec.seed)
-    n_comm = spec.n_communities
-    for ts in range(spec.n_users * spec.triples_per_user):
-        u = ts // spec.triples_per_user
-        comm = u % n_comm
-        own = n_comm == 1 or rng.random() < spec.in_community_prob
-        item = _draw(rng, spec.n_items, n_comm, comm, own)
-        tag = _draw(rng, spec.n_tags, n_comm, comm, own)
-        yield Interaction(f"u{u}", f"r{item}", f"t{tag}", ts)
+    bits, uniform = rng.getrandbits, rng.random
+    n_comm, per_user, prob = spec.n_communities, spec.triples_per_user, spec.in_community_prob
+    n_items, n_tags = spec.n_items, spec.n_tags
+    item_bits, tag_bits = n_items.bit_length(), n_tags.bit_length()
+    item_pools, tag_pools = _pools(n_items, n_comm), _pools(n_tags, n_comm)
+    single = n_comm == 1
+    for u in range(spec.n_users):
+        user, comm = f"u{u}", u % n_comm
+        item_pool, item_pool_bits = item_pools[comm]
+        tag_pool, tag_pool_bits = tag_pools[comm]
+        for ts in range(u * per_user, (u + 1) * per_user):
+            if single or uniform() < prob:
+                x = bits(item_pool_bits)
+                while x >= item_pool:
+                    x = bits(item_pool_bits)
+                item = comm + n_comm * x
+                x = bits(tag_pool_bits)
+                while x >= tag_pool:
+                    x = bits(tag_pool_bits)
+                tag = comm + n_comm * x
+            else:
+                item = bits(item_bits)
+                while item >= n_items or item % n_comm == comm:
+                    item = bits(item_bits)
+                tag = bits(tag_bits)
+                while tag >= n_tags or tag % n_comm == comm:
+                    tag = bits(tag_bits)
+            yield user, f"r{item}", f"t{tag}", ts
 
 
 def generate_interactions(spec: SyntheticSpec) -> list[Interaction]:
     """Deterministic interaction list for the given spec."""
-    return list(_interactions(spec))
+    return list(starmap(Interaction, _interactions(spec)))
 
 
 def generate_synthetic(spec: SyntheticSpec, path) -> Path:

@@ -242,3 +242,33 @@ def naive_temporal_split(graph, ratio):
         fresh = frozenset(reachable - trained)
         test_sets[user] = (fresh, unreachable) if fresh or unreachable else (frozenset(reachable), frozenset())
     return train, test_sets, test_records, (len(records) - len(test_records)) / len(records)
+
+
+def _pool_size(n, n_comm, comm):
+    return len(range(comm, n, n_comm))
+
+
+def _draw(rng, n, n_comm, comm, own):
+    if own:
+        return comm + n_comm * rng.randrange(_pool_size(n, n_comm, comm))
+    while True:  # rejection keeps the out-of-community draw exactly uniform
+        x = rng.randrange(n)
+        if x % n_comm != comm:
+            return x
+
+
+def naive_interactions(spec):
+    """A ``SyntheticSpec``'s records, one ``randrange`` call per index, as the generator first drew them."""
+    from tagrec.corpus import Interaction
+
+    rng = random.Random(spec.seed)
+    n_comm = spec.n_communities
+    records = []
+    for ts in range(spec.n_users * spec.triples_per_user):
+        u = ts // spec.triples_per_user
+        comm = u % n_comm
+        own = n_comm == 1 or rng.random() < spec.in_community_prob
+        item = _draw(rng, spec.n_items, n_comm, comm, own)
+        tag = _draw(rng, spec.n_tags, n_comm, comm, own)
+        records.append(Interaction(f"u{u}", f"r{item}", f"t{tag}", ts))
+    return records

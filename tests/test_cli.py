@@ -36,6 +36,17 @@ def corpus_path(tmp_path_factory):
 RUN_FLAGS = ["--degree-threshold", "2", "--avg-cluster-size", "12", "--k-list", "1,5,10"]
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every command fail the test if it starts its work."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the command started work despite a bad flag or output")
+
+    for name in ("run_experiment", "sweep", "split_corpus", "generate_synthetic"):
+        monkeypatch.setattr(cli, name, fail)
+    monkeypatch.setattr(experiment, "prepare_corpus", fail)  # what cluster's _prepared calls
+
+
 class TestExitCodes:
     def test_successful_run_returns_zero(self, corpus_path, capsys):
         code = main(["run", "--input", str(corpus_path), "--mode", "fcum", *RUN_FLAGS])
@@ -90,6 +101,20 @@ class TestExitCodes:
         assert excinfo.value.code == 1
         assert capsys.readouterr().err.splitlines()[-1] == line
         assert configs == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "cluster", "gen"])
+    def test_negative_seed_is_usage_error_before_any_work(self, command, corpus_path, tmp_path, capsys, no_work):
+        # random.Random seeds with abs(seed), so a negative seed would silently repeat its absolute value
+        argv = {
+            "run": ["run", "--input", str(corpus_path)],
+            "sweep": ["sweep", "--input", str(corpus_path), "--param", "iterations", "--values", "1,2"],
+            "cluster": ["cluster", "--input", str(corpus_path), "--output", str(tmp_path / "c.tsv")],
+            "gen": ["gen", "--output", str(tmp_path / "g.tsv"), "--users", "20", "--items", "80", "--tags", "30",
+                    "--communities", "2"],
+        }[command]
+        assert main([*argv, "--seed", "-3"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["tagrec: error: seed must be non-negative"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_input_flag_is_usage_error(self, tmp_path, capsys):
         for argv in (["run", "--mode", "ucf"], ["sweep", "--param", "iterations", "--values", "1,2"],
@@ -473,15 +498,6 @@ class TestOutputPath:
         "gen": ["gen", "--users", "20"],
     }
     FILE_OUTPUTS = ("cluster", "gen")
-
-    @pytest.fixture
-    def no_work(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("the command started work despite an unusable --output")
-
-        for name in ("run_experiment", "sweep", "split_corpus", "generate_synthetic"):
-            monkeypatch.setattr(cli, name, fail)
-        monkeypatch.setattr(experiment, "prepare_corpus", fail)  # what cluster's _prepared calls
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_unusable_output_is_io_error_before_any_work(self, command, corpus_path, tmp_path, capsys, no_work):

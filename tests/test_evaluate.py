@@ -209,7 +209,7 @@ class TestReportSerialization:
         cases = (
             ("doc.json", lambda doc, path: write_json(path, doc),
              {"a": 1}, {"a": 2, "b": object()}, TypeError),
-            ("triples.tsv", write_triples, records, [records[0], None], AttributeError),
+            ("triples.tsv", write_triples, records, [records[0], None], TypeError),
             ("summary.txt", write_summary, {"a": 1}, {"a": 2, "b": Unformattable()}, ValueError),
             ("clusters.tsv", lambda doc, path: write_clustering(doc, g, path),
              SimpleNamespace(assignment=[0, 1]), SimpleNamespace(assignment=[1, 0, 0]), IndexError),

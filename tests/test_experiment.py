@@ -72,6 +72,9 @@ class TestConfigValidation:
             ExperimentConfig(input="x", k_list=(0, 5))
         with pytest.raises(ValueError):
             ExperimentConfig(input="x", iterations=0)
+        with pytest.raises(ValueError, match="seed"):  # random.Random(-3) would deal seed 3's clusters
+            ExperimentConfig(input="x", seed=-3)
+        ExperimentConfig(input="x", seed=0)
 
     def test_k_list_sorted_and_deduplicated(self):
         cfg = ExperimentConfig(input="x", k_list=(10, 5, 5, 1))

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
 import pytest
+from oracles import naive_interactions
 
 from tagrec.clustering import coarse_cluster
 from tagrec.corpus import build_graph, write_triples
@@ -10,6 +12,19 @@ from tagrec.synthetic import SyntheticSpec, generate_interactions, generate_synt
 
 # ``small_spec(n_communities=1, in_community_prob=1.0)``, taken when one community had its own draw branch
 ONE_COMMUNITY_PINNED = "136a2084ca9795dbcdeaeeeb3cc9008590edafa018355de661038dedaa086cbd"
+
+# The benchmark workloads' specs (perfbench/workloads.py), seed 42 by default
+BENCHMARK_SPECS = {
+    "paper-both": SyntheticSpec(n_users=560, n_items=7000, n_tags=1750, n_communities=16),
+    "fcum-fine": SyntheticSpec(n_users=640, n_items=8000, n_tags=2000, n_communities=16),
+}
+PINNED_SPECS = {**BENCHMARK_SPECS, "default": SyntheticSpec()}
+# ``PINNED_SPECS``' corpora, taken when every index was drawn by its own ``randrange`` call
+CORPUS_PINNED = {
+    "paper-both": "8e6dfe52d68a55c6db7716732af7c5cc14a4ee8f5cb23b283c1cb7f272c0fbb1",
+    "fcum-fine": "2f3c48d039928e6bee2785fae5e4a276ab3177374b322e0ebf754960bd38bc19",
+    "default": "352f933a5df595aeaffad8a4aff19a28f46ae73eb0469862c50a463fb91577e9",
+}
 
 
 def small_spec(**overrides):
@@ -52,6 +67,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(n_communities=1, in_community_prob=0.9)
 
+    def test_seed_must_be_non_negative(self):
+        # random.Random seeds with abs(seed): -7 would silently repeat seed 7's corpus
+        small_spec(seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            small_spec(seed=-7)
+
 
 class TestGeneration:
     def test_deterministic_interactions(self):
@@ -71,9 +92,10 @@ class TestGeneration:
         write_triples(generate_interactions(spec), tmp_path / "listed.tsv")
         assert (tmp_path / "streamed.tsv").read_bytes() == (tmp_path / "listed.tsv").read_bytes()
 
-    def test_file_is_written_without_holding_the_corpus(self, tmp_path):
-        # 12,000 records: a list of them alone would take a few MiB
-        spec = small_spec(n_users=200, triples_per_user=60)
+    @pytest.mark.parametrize("spec", [small_spec(n_users=200, triples_per_user=60), BENCHMARK_SPECS["fcum-fine"]],
+                             ids=["12k-records", "fcum-fine"])
+    def test_file_is_written_without_holding_the_corpus(self, spec, tmp_path):
+        # 12,000 and 76,800 records: a list of either alone would take several MiB
         tracemalloc.start()
         try:
             generate_synthetic(spec, tmp_path / "corpus.tsv")
@@ -120,6 +142,25 @@ class TestGeneration:
                 comm = int(graph.users[u][1:]) % 2
                 labels.setdefault(j, set()).add(comm)
             assert all(len(comms) == 1 for comms in labels.values())
+
+    @pytest.mark.parametrize("spec", [
+        *(pytest.param(dataclasses.replace(spec, seed=seed), id=f"{name}-seed{seed}")
+          for name, spec in BENCHMARK_SPECS.items() for seed in (1, 2, 42)),
+        pytest.param(small_spec(n_communities=1, in_community_prob=1.0), id="one-community"),
+        pytest.param(small_spec(n_items=127, n_tags=41, n_communities=4), id="counts-not-multiples"),
+        pytest.param(small_spec(n_items=3, n_tags=5, n_communities=3), id="pools-of-one-or-two"),
+        pytest.param(small_spec(n_items=128, n_tags=32, n_communities=4), id="powers-of-two"),
+        pytest.param(small_spec(in_community_prob=1 / 3), id="probability-at-floor"),
+        pytest.param(small_spec(in_community_prob=1.0), id="probability-one"),
+        pytest.param(small_spec(triples_per_user=1), id="one-triple-per-user"),
+    ])
+    def test_records_are_the_randrange_draws(self, spec):
+        assert generate_interactions(spec) == naive_interactions(spec)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_PINNED))
+    def test_corpus_is_pinned(self, name, tmp_path):
+        path = generate_synthetic(PINNED_SPECS[name], tmp_path / f"{name}.tsv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CORPUS_PINNED[name]
 
     def test_single_community_corpus_is_pinned(self, tmp_path):
         # with one community every draw is an own-pool draw over the whole range

@@ -13,12 +13,15 @@ with it is d / sqrt(|u| * sum(c^2)), where d is the sum of c over u's
 indices. One pass over the posting lists of u's items and tags, relabelled
 with each holder's cluster, gives d for every cluster at once, and sum(c^2)
 is the sum of d over the cluster's members, so a round needs nothing but
-these dots; after a round only the users that moved update the d of the
-users they share an index with. Integer sums are exact on every Python
-version, and no float centroid is built per round. Clusters whose cosines
-tie, exactly or within 1e-9, are compared with ``user_centroid_similarity``
-on float centroids, which defines the assignment, so the result is the one
-float centroids give, bit for bit. Float ``Centroid`` objects are otherwise
+these dots. Each user keeps its dots as a dense row of k ints, read by
+cluster index; after a round only the users that moved update the rows of
+the users they share an index with. Users of one profile size share the
+denominators sqrt(|u| * sum(c^2)), so a round takes each square root once
+per size and cluster. Integer sums are exact on every Python version, and
+no float centroid is built per round. Clusters whose cosines tie, exactly
+or within 1e-9, are compared with ``user_centroid_similarity`` on float
+centroids, which defines the assignment, so the result is the one float
+centroids give, bit for bit. Float ``Centroid`` objects are otherwise
 built only for the final partition, for output: their item and tag keys are
 each cluster's item pool and distinct tags, which give its scoring work.
 """
@@ -28,6 +31,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import truediv
 
 from .corpus import _atomic_open
 from .profiles import UserProfile, posting_lists
@@ -90,6 +94,8 @@ def init_assignment(users, k: int, seed: int) -> dict[int, int]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if seed < 0:  # random.Random seeds with abs(seed), so -s would deal s's clusters
+        raise ValueError("seed must be non-negative")
     order = list(users)
     random.Random(seed).shuffle(order)
     return {u: i % k for i, u in enumerate(order)}
@@ -169,8 +175,8 @@ def _group(assignment, k):
     return clusters
 
 
-def _cluster_dots(assignment, post, profile_indices) -> list[Counter]:
-    """Per user, its dot product with every cluster's count vector.
+def _cluster_dots(assignment, post, profile_indices, k: int) -> list[list[int]]:
+    """Per user, a row of its dot products with the k clusters' count vectors.
 
     Each holder list of ``post`` is relabelled with the holders' clusters;
     counting the labels over a user's indices gives, for each cluster j, the
@@ -178,15 +184,30 @@ def _cluster_dots(assignment, post, profile_indices) -> list[Counter]:
     """
     label = assignment.__getitem__
     labels = {key: list(map(label, holders)) for key, holders in post.items()}
-    return [Counter(chain.from_iterable(map(labels.__getitem__, indices))) for indices in profile_indices]
+    rows = []
+    for indices in profile_indices:
+        row = [0] * k
+        for j, dot in Counter(chain.from_iterable(map(labels.__getitem__, indices))).items():
+            row[j] = dot
+        rows.append(row)
+    return rows
 
 
-def _move_dots(dots: list[Counter], post, indices, old: int, new: int) -> None:
+def _move_dots(dots: list[list[int]], post, indices, old: int, new: int) -> None:
     """Update ``dots`` for one user, holding ``indices``, moving from cluster ``old`` to ``new``."""
     for w, shared in Counter(chain.from_iterable(map(post.__getitem__, indices))).items():
         row = dots[w]
         row[old] -= shared
-        row[new] = row.get(new, 0) + shared
+        row[new] += shared
+
+
+def _norms(profile_indices, sq) -> dict[int, list[float]]:
+    """Per distinct profile size d, the cosine denominators sqrt(d * s) for each s in ``sq``.
+
+    A zero denominator is given as infinity: a dot over it is 0, and 0 / inf
+    is the 0.0 cosine of an empty side.
+    """
+    return {d: [math.sqrt(d * s) or math.inf for s in sq] for d in set(map(len, profile_indices))}
 
 
 # Exact cosines that are equal, or nearly so, can come out in either order
@@ -221,8 +242,8 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
     items_of = [profiles[u].items_sorted for u in range(n)]
     tags_of = [profiles[u].tags_sorted for u in range(n)]
     item_post, tag_post = posting_lists(range(n), profiles)
-    item_dots = _cluster_dots(assignment, item_post, items_of)
-    tag_dots = _cluster_dots(assignment, tag_post, tags_of)
+    item_dots = _cluster_dots(assignment, item_post, items_of, k)
+    tag_dots = _cluster_dots(assignment, tag_post, tags_of, k)
     profile_sizes = sum(map(len, items_of)) + sum(map(len, tags_of))
     ops = 0
 
@@ -233,31 +254,29 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
             item_sq[j] += item_dots[u][j]
             tag_sq[j] += tag_dots[u][j]
         clusters = _group(assignment, k)
-        live = [(j, item_sq[j], tag_sq[j]) for j, members in enumerate(clusters) if members]
+        empty = [j for j, members in enumerate(clusters) if not members]
         # counting touches every profile once; each user is then compared
         # coordinate by coordinate with every non-empty cluster
-        ops += profile_sizes * (1 + len(live))
+        ops += profile_sizes * (1 + k - len(empty))
+        item_norms = _norms(items_of, item_sq)
+        tag_norms = _norms(tags_of, tag_sq)
         float_centroids = {}  # built only to settle near ties
         new_assignment = []
         for u in range(n):
-            n_items, n_tags = len(items_of[u]), len(tags_of[u])
-            u_item_dots, u_tag_dots = item_dots[u], tag_dots[u]
-            sims = []
-            for j, item_sq, tag_sq in live:
-                denom_sq = n_items * item_sq
-                cos_items = u_item_dots.get(j, 0) / math.sqrt(denom_sq) if denom_sq else 0.0
-                denom_sq = n_tags * tag_sq
-                cos_tags = u_tag_dots.get(j, 0) / math.sqrt(denom_sq) if denom_sq else 0.0
-                sims.append(gamma * cos_items + (1.0 - gamma) * cos_tags)
+            cos_items = map(truediv, item_dots[u], item_norms[len(items_of[u])])
+            cos_tags = map(truediv, tag_dots[u], tag_norms[len(tags_of[u])])
+            sims = [gamma * c_items + (1.0 - gamma) * c_tags for c_items, c_tags in zip(cos_items, cos_tags)]
+            for j in empty:
+                sims[j] = -1.0  # as user_centroid_similarity scores an absent centroid, below any real one
             best = max(sims)
-            near = [x for x, sim in enumerate(sims) if sim >= best - _NEAR_TIE]
+            near = [j for j, sim in enumerate(sims) if sim >= best - _NEAR_TIE]
             if len(near) > 1:
-                for x in near:
-                    if x not in float_centroids:
-                        float_centroids[x] = compute_centroid(clusters[live[x][0]], profiles)
-                ref = [user_centroid_similarity(profiles[u], float_centroids[x], gamma) for x in near]
+                for j in near:
+                    if j not in float_centroids:
+                        float_centroids[j] = compute_centroid(clusters[j], profiles)
+                ref = [user_centroid_similarity(profiles[u], float_centroids[j], gamma) for j in near]
                 near = [near[ref.index(max(ref))]]
-            new_assignment.append(live[near[0]][0])
+            new_assignment.append(near[0])
         if round_ + 1 < iterations:
             for v, (old, new) in enumerate(zip(assignment, new_assignment)):
                 if old != new:

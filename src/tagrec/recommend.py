@@ -17,20 +17,29 @@ every neighbor sharing at least one of them, so pairs of zero similarity are
 never visited. The similarity is the expression of
 ``profiles.user_similarity``.
 
-Once a target's similarities are known, the kernel walks the pool in
-descending holder count (ties in item order), and each item adds the
-similarities of its holders in ascending user index, as ``score`` does (a
-holder of zero similarity adds +0.0, which changes nothing). So scores
-equal direct evaluation bit for bit, and a single-cluster clustering
-reproduces the baseline exactly. The walk keeps its k best (score, item)
-pairs in a heap and stops at the first item whose bound is strictly below
-the k-th best score so far. The bound of an item with d holders is the sum
-of the d largest similarities, times 1 + 1e-9; no later item has more
-holders, so none can reach the top k (the threshold stop of Fagin, Lotem &
-Naor, PODS 2001). The margin covers float error: the bound and the score
-are each a sum of at most n positive terms, so the relative error of each
-is at most n * 2**-53, about 2e-13 at 1,600 users. The stop is strict, so
-an item tied with the k-th score is still scored and ranked in item order.
+Per group, the pool's items are gathered by their holder list, the members
+holding them in ascending order: in a small cluster many items share one.
+An entry is (holder count, lowest item, holders, the other items in
+ascending order). Once a target's similarities are known, the kernel walks
+the entries in descending holder count (ties in lowest-item order), and
+each entry adds the similarities of its holders once, in ascending user
+index, as ``score`` does for each of its items (a holder of zero similarity
+adds +0.0, which changes nothing). So scores equal direct evaluation bit
+for bit, and a single-cluster clustering reproduces the baseline exactly.
+The target is a member of its group, so the items of an entry are either
+all its own or none of them, and the walk skips an entry by its lowest
+item. It keeps its k best (score, item) pairs in a heap, pushing an
+entry's items in ascending order until one fails to enter, and stops at
+the first entry whose bound is strictly below the k-th best score so far.
+The bound of an entry with d holders is the sum of the d largest
+similarities, times 1 + 1e-9; no later entry has more holders, so none can
+reach the top k (the threshold stop of Fagin, Lotem & Naor, PODS 2001).
+The margin covers float error: the bound and the score are each a sum of
+at most n positive terms, so the relative error of each is at most
+n * 2**-53, about 2e-13 at 1,600 users. The stop is strict, so an item
+tied with the k-th score is still scored and ranked in item order. In the
+all-users group almost every item has a holder list of its own, so UCF
+walks one-item entries, each at the cost of an item.
 
 Entries are ordered by descending score, ties by ascending item index, and
 zero-score items are kept after the positive ones; the list at a smaller k
@@ -39,7 +48,7 @@ is always a prefix of the list at a larger k.
 
 import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -96,9 +105,7 @@ def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
     for members, pool, targets in groups:
         # sorted, so that each item's holders come in the order score() adds them
         item_post, tag_post = posting_lists(sorted(members), profiles)
-        holders = [item_post.get(r, ()) for r in pool]
-        # stable, so ties in holder count stay in item order
-        by_holders = sorted(zip(map(len, holders), pool, holders), key=itemgetter(0), reverse=True)
+        by_holders = _entries(pool, item_post)
         for u in targets:
             prof = profiles[u]
             shared_items = Counter(chain.from_iterable(map(item_post.__getitem__, prof.items_sorted)))
@@ -122,11 +129,30 @@ def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
     return out
 
 
+def _entries(pool, item_post) -> list:
+    """The walk's (holder count, lowest item, holders, other items) entries, most holders first.
+
+    Items with the same holders in ``item_post`` share one entry; ties in
+    holder count stay in lowest-item order. The entries hold ``item_post``'s
+    lists, so the tuple keys of the grouping die on return.
+    """
+    first_of = {}  # holder tuple -> its lowest item
+    rest_of = defaultdict(list)  # lowest item -> the other items with its holders, ascending
+    for r in pool:
+        first = first_of.setdefault(tuple(item_post.get(r, ())), r)
+        if first != r:
+            rest_of[first].append(r)
+    entries = [(len(key), r, item_post.get(r, ()), rest_of.get(r, ())) for key, r in first_of.items()]
+    entries.sort(key=itemgetter(0), reverse=True)  # stable
+    return entries
+
+
 def _walk(by_holders, own, sim_of, near, k) -> tuple[tuple[int, float], ...]:
     """The k best (item, score) entries of a walk over ``by_holders``, skipping the items in ``own``.
 
     ``sim_of`` holds the target's similarity to each user, nonzero exactly
-    for the users in ``near``.
+    for the users in ``near``. An entry's items share its score, so after
+    the lowest, each enters the heap only if the one before it did.
     """
     # limit[d] is above every score of an item with d holders: the d largest
     # similarities, summed, with a margin for the rounding of both sums
@@ -138,7 +164,7 @@ def _walk(by_holders, own, sim_of, near, k) -> tuple[tuple[int, float], ...]:
     # equal scores the lower item wins; (-1.0, 0) marks an empty slot
     best = [(-1.0, 0)] * max(k, 1)
     floor = -1.0  # the k-th best score so far
-    for d, r, holders in by_holders:
+    for d, r, holders, rest in by_holders:
         if r in own:
             continue
         if limit[d] < floor:
@@ -148,6 +174,12 @@ def _walk(by_holders, own, sim_of, near, k) -> tuple[tuple[int, float], ...]:
             s += sim_of[v]
         if s >= floor:
             heapq.heappushpop(best, (s, -r))
+            if rest:
+                for r in rest:
+                    # (s, -r) falls as r rises, so once one stays out the rest do
+                    pair = (s, -r)
+                    if heapq.heappushpop(best, pair) is pair:
+                        break
             floor = best[0][0]
     return tuple((-neg_r, s) for s, neg_r in sorted(best, reverse=True)[:k] if s >= 0.0)
 
@@ -178,8 +210,8 @@ def rank_fcum(clustering: Clustering, train, profiles, beta: float, k: int) -> d
 
 def write_ranklists(ranklists: dict[int, RankList], train, path) -> None:
     """Dump ``user<TAB>rank<TAB>item<TAB>score`` lines, scores at 6 decimals."""
+    users, items = train.users, train.items
     with _atomic_open(path) as fh:
-        for u in sorted(ranklists):
-            ext_user = train.users[u]
-            for rank, (r, s) in enumerate(ranklists[u].entries, start=1):
-                fh.write(f"{ext_user}\t{rank}\t{train.items[r]}\t{s:.6f}\n")
+        fh.writelines(f"{users[u]}\t{rank}\t{items[r]}\t{s:.6f}\n"
+                      for u in sorted(ranklists)
+                      for rank, (r, s) in enumerate(ranklists[u].entries, start=1))

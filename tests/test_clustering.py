@@ -227,10 +227,12 @@ class TestCoarseCluster:
             iterations = rng.randint(1, 3)
             gamma = rng.choice((0.0, 0.3, 0.5, 0.8, 1.0))
             seed = rng.randrange(10_000)
-            mine = coarse_cluster(g, profiles, k, iterations, gamma, seed)
-            assignment, _, item_clusters = naive_coarse_cluster(g, k, iterations, gamma, seed)
-            assert list(mine.assignment) == assignment
-            assert mine.item_clusters == tuple(item_clusters)
+            # the second k exceeds the user count: some clusters are empty from the first round
+            for k in (k, g.n_users + 2):
+                mine = coarse_cluster(g, profiles, k, iterations, gamma, seed)
+                assignment, _, item_clusters = naive_coarse_cluster(g, k, iterations, gamma, seed)
+                assert list(mine.assignment) == assignment
+                assert mine.item_clusters == tuple(item_clusters)
 
     def test_coordinate_ops_follow_per_round_formula(self):
         # per round: one touch per profile coordinate to build the centroids,
@@ -266,6 +268,8 @@ class TestCoarseCluster:
             coarse_cluster(split.train, profiles, 0, 2, 0.5, seed=1)
         with pytest.raises(ValueError):
             coarse_cluster(split.train, profiles, 2, 0, 0.5, seed=1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            coarse_cluster(split.train, profiles, 2, 2, 0.5, seed=-3)
 
     def test_iterations_run_recorded(self, tiny_split):
         split, profiles = tiny_split

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tagrec.clustering import coarse_cluster
+from tagrec.clustering import Clustering, coarse_cluster, compute_centroid
 from tagrec.profiles import build_profiles, user_similarity
 from tagrec.recommend import rank_fcum, rank_ucf, score, write_ranklists
 
@@ -317,6 +317,28 @@ def direct_ranking(u, members, pool, profiles, beta, k):
     return sorted(((r, s) for r, s in direct if s >= 0.0), key=lambda e: (-e[1], e[0]))[:k]
 
 
+def ranked_both_ways(g, profiles, clusters, k, beta=0.5):
+    """rank_ucf, and rank_fcum over ``clusters`` (lists of user names), each checked against direct_ranking."""
+    everyone = range(g.n_users)
+    ucf = rank_ucf(g, profiles, beta, k)
+    for u in everyone:
+        assert list(ucf[u].entries) == direct_ranking(u, everyone, range(g.n_items), profiles, beta, k)
+    user_clusters = tuple(tuple(sorted(map(g.users.index, names))) for names in clusters)
+    assignment = [0] * g.n_users
+    for j, members in enumerate(user_clusters):
+        for u in members:
+            assignment[u] = j
+    centroids = tuple(compute_centroid(members, profiles) for members in user_clusters)
+    clustering = Clustering(k=len(clusters), assignment=tuple(assignment), user_clusters=user_clusters,
+                            item_clusters=tuple(tuple(c.item_part) for c in centroids), centroids=centroids,
+                            iterations_run=1, coordinate_ops=0)
+    fcum = rank_fcum(clustering, g, profiles, beta, k)
+    for members, pool in zip(clustering.user_clusters, clustering.item_clusters):
+        for u in members:
+            assert list(fcum[u].entries) == direct_ranking(u, members, pool, profiles, beta, k)
+    return ucf, fcum
+
+
 class TestTopKStop:
     """The kernel's walk in descending holder count, and its stop, give score()'s ranklists bit for bit."""
 
@@ -397,3 +419,49 @@ class TestTopKStop:
         sim = user_similarity(profiles[u], profiles[g.users.index("v0")], 0.5)
         expected = tuple((g.items.index(name), sim) for name in ("only0", "w0", "only1"))
         assert rank_ucf(g, profiles, 0.5, 3)[u].entries == expected
+
+    # Items with one holder list share one walk entry. In each case below x,
+    # in a cluster of its own and sharing nothing with u, also holds some of
+    # those items, so that UCF splits the entries that FCUM keeps whole.
+
+    def test_one_neighbour_alone_holds_more_than_k_items(self):
+        rows = [("u", "shared", "t"), ("v", "shared", "t")]
+        rows += [("w", "shared", "t2")] + [("w", f"other{i}", "t2") for i in range(3)]  # less similar than v
+        rows += [("v", f"only{i}", "t") for i in range(7)]
+        rows += [("x", f"only{i}", "tx") for i in (1, 4)]
+        g = make_graph(rows)
+        profiles = build_profiles(g)
+        ucf, fcum = ranked_both_ways(g, profiles, [["u", "v", "w"], ["x"]], 3)
+        u = g.users.index("u")
+        sim = user_similarity(profiles[u], profiles[g.users.index("v")], 0.5)
+        expected = tuple((g.items.index(f"only{i}"), sim) for i in range(3))
+        assert ucf[u].entries == fcum[u].entries == expected
+
+    def test_equal_neighbours_items_interleave_by_index_where_k_cuts(self):
+        rows = [("u", "shared", "t"), ("v1", "shared", "t"), ("v2", "shared", "t")]
+        for i in range(3):  # interned a0, b0, a1, b1, a2, b2
+            rows += [("v1", f"a{i}", "t"), ("v2", f"b{i}", "t")]
+        rows += [("x", "a1", "tx"), ("x", "b2", "tx")]
+        g = make_graph(rows)
+        profiles = build_profiles(g)
+        u, v1, v2 = map(g.users.index, ("u", "v1", "v2"))
+        sim = user_similarity(profiles[u], profiles[v1], 0.5)
+        assert user_similarity(profiles[u], profiles[v2], 0.5) == sim
+        ucf, fcum = ranked_both_ways(g, profiles, [["u", "v1", "v2"], ["x"]], 4)
+        expected = tuple((g.items.index(name), sim) for name in ("a0", "b0", "a1", "b1"))
+        assert ucf[u].entries == fcum[u].entries == expected
+
+    def test_an_entry_the_target_holds_is_skipped_whole(self):
+        # u and v hold p0..p3 and w holds p0 as well, so in their cluster p1..p3
+        # share the holder list (u, v): u and v skip that entry whole, and w is
+        # offered all three
+        rows = [("u", f"p{i}", "t") for i in range(4)] + [("v", f"p{i}", "t") for i in range(4)]
+        rows += [("v", "q", "t"), ("w", "p0", "t2"), ("w", "q", "t"), ("x", "p2", "tx")]
+        g = make_graph(rows)
+        profiles = build_profiles(g)
+        ucf, fcum = ranked_both_ways(g, profiles, [["u", "v", "w"], ["x"]], 10)
+        u, v, w = map(g.users.index, ("u", "v", "w"))
+        p = {g.items.index(f"p{i}") for i in range(4)}
+        for out in (ucf, fcum):
+            assert not p & {r for r, _ in out[u].entries + out[v].entries}
+            assert p - {g.items.index("p0")} <= {r for r, _ in out[w].entries}

@@ -163,7 +163,7 @@ def _cmd_split(args) -> int:
     directory = Path(args.output)
     directory.mkdir(parents=True, exist_ok=True)
     write_triples(split.train.interactions(), directory / "train.tsv")
-    write_triples(split.test_triples, directory / "test.tsv")
+    write_triples(filtered.interactions(split.test_triples), directory / "test.tsv")
     write_summary(split_summary(filtered, split), directory / "summary.txt")
     for name in ("train.tsv", "test.tsv", "summary.txt"):
         print(f"wrote {directory / name}")

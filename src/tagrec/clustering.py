@@ -21,15 +21,16 @@ per size and cluster. Integer sums are exact on every Python version, and
 no float centroid is built per round. Clusters whose cosines tie, exactly
 or within 1e-9, are compared with ``user_centroid_similarity`` on float
 centroids, which defines the assignment, so the result is the one float
-centroids give, bit for bit. Float ``Centroid`` objects are otherwise
-built only for the final partition, for output: their item and tag keys are
-each cluster's item pool and distinct tags, which give its scoring work.
+centroids give, bit for bit. Float ``Centroid`` objects, records of their
+two parts alone, are otherwise built only for the final partition, for
+output: their item and tag keys are each cluster's item pool and distinct
+tags, which give its scoring work.
 """
 
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import truediv
 
@@ -52,29 +53,16 @@ __all__ = [
 class Centroid:
     """Sparse mean of a cluster's binary item and tag vectors.
 
-    Coordinates are kept in ascending index order; each value is the fraction
-    of members containing that index, so it lies in (0, 1]. The squared norms
-    are derived from the parts, so equality compares the parts alone.
+    A record of its two parts alone. Coordinates are kept in ascending index
+    order; each value is the fraction of members containing that index, so
+    it lies in (0, 1].
     """
 
     item_part: dict[int, float]
     tag_part: dict[int, float]
-    item_norm_sq: float = field(init=False, compare=False)
-    tag_norm_sq: float = field(init=False, compare=False)
-
-    def __post_init__(self):
-        self.item_norm_sq = _norm_sq_ordered(self.item_part)
-        self.tag_norm_sq = _norm_sq_ordered(self.tag_part)
 
     def __repr__(self):
         return f"Centroid(items={len(self.item_part)}, tags={len(self.tag_part)})"
-
-
-def _norm_sq_ordered(vec: dict[int, float]) -> float:
-    total = 0.0
-    for v in vec.values():  # insertion order is ascending by construction
-        total += v * v
-    return total
 
 
 def choose_k(n_users: int, avg_cluster_size: int) -> int:
@@ -125,13 +113,16 @@ def user_centroid_similarity(profile: UserProfile, centroid: Centroid | None, ga
     if centroid is None:
         return -1.0
 
-    cos_items = _part_cosine(profile.items_sorted, centroid.item_part, centroid.item_norm_sq)
-    cos_tags = _part_cosine(profile.tags_sorted, centroid.tag_part, centroid.tag_norm_sq)
+    cos_items = _part_cosine(profile.items_sorted, centroid.item_part)
+    cos_tags = _part_cosine(profile.tags_sorted, centroid.tag_part)
     return gamma * cos_items + (1.0 - gamma) * cos_tags
 
 
-def _part_cosine(indices, part: dict[int, float], norm_sq: float) -> float:
+def _part_cosine(indices, part: dict[int, float]) -> float:
     """Cosine of the binary vector over ``indices`` with one part of a centroid."""
+    norm_sq = 0.0
+    for v in part.values():  # ascending index order; a float sum() may round differently
+        norm_sq += v * v
     denom_sq = len(indices) * norm_sq
     if denom_sq == 0.0:
         return 0.0

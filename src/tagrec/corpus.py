@@ -10,14 +10,15 @@ and the split gathers what it needs one user at a time. Filtering and
 splitting stay in that integer space: they keep a subsequence of the quads
 and renumber the surviving ids compactly, in first-appearance order, which
 yields the same tables as interning the surviving records afresh.
-``Interaction`` records appear only where records are read or written.
+``Interaction`` records appear only where records are read or written: the
+split's held-out triples stay quads until ``tagrec split`` writes them.
 """
 
 import contextlib
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress, starmap
 from operator import itemgetter, not_
 from pathlib import Path
@@ -84,9 +85,9 @@ class TripartiteGraph:
     def n_triples(self) -> int:
         return len(self.triples)
 
-    def interactions(self):
-        """Yield the stored triples as externally-identified records, in storage order."""
-        for u, r, t, ts in self.triples:
+    def interactions(self, triples=None):
+        """Yield ``triples``, quads in this graph's ids (default: its own), as records, in order."""
+        for u, r, t, ts in self.triples if triples is None else triples:
             yield Interaction(self.users[u], self.items[r], self.tags[t], ts)
 
     def __repr__(self):
@@ -260,12 +261,12 @@ class SplitCorpus:
     """A temporal train/test split.
 
     ``test_sets`` is keyed by training-graph user index; ``test_triples``
-    keeps the raw held-out records (external ids) for persistence.
+    keeps the held-out quads, in the split graph's ids, for persistence.
     """
 
     train: TripartiteGraph
     test_sets: dict[int, TestSet]
-    test_triples: list[Interaction]
+    test_triples: list[tuple[int, int, int, int]]
     split_ratio: float
     realized_train_fraction: float
 
@@ -275,10 +276,12 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
 
     For each user the latest ``ceil((1-ratio) * n_u)`` triples (ordered by
     timestamp, ties by item then tag index) go to test, the rest to train,
-    clamped so every user keeps at least one triple on each side. A user's
-    test item set is their distinct test items minus their training items;
-    when that subtraction empties the set, the raw distinct test items are
-    used so the set is never empty.
+    clamped so every user keeps at least one triple on each side. The
+    ceiling is exact, of ``1-ratio`` taken from the ratio's decimal value,
+    so a ratio of 0.7 holds out 3 of 10 triples. A user's test item set is
+    their distinct test items minus their training items; when that
+    subtraction empties the set, the raw distinct test items are used so
+    the set is never empty.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be strictly between 0 and 1")
@@ -286,6 +289,7 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
         raise DataError("cannot split an empty graph")
 
     triples = graph.triples
+    share = 1 - Fraction(str(ratio))  # the held-out share, exact
     per_user = [[] for _ in range(graph.n_users)]
     for tid, u in enumerate(map(itemgetter(0), triples)):
         per_user[u].append(tid)
@@ -298,7 +302,7 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
                 f"user {graph.users[u]!r} has {len(tids)} triple(s); need at least 2 to split"
             )
         tids.sort(key=lambda tid: (triples[tid][3], triples[tid][1], triples[tid][2]))
-        n_test = math.ceil((1.0 - ratio) * len(tids))
+        n_test = -(-share.numerator * len(tids) // share.denominator)
         n_train = len(tids) - max(1, min(n_test, len(tids) - 1))
         tested = set()
         for tid in tids[n_train:]:
@@ -315,17 +319,14 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
         for u, old_items in enumerate(test_items)
     }
 
-    users, items, tags = graph.users, graph.items, graph.tags
-    test_triples = [Interaction(users[u], items[r], tags[t], ts) for u, r, t, ts in compress(triples, held)]
+    test_triples = list(compress(triples, held))
     realized = train.n_triples / graph.n_triples
     return SplitCorpus(train, test_sets, test_triples, ratio, realized)
 
 
 def split_summary(graph: TripartiteGraph, split: SplitCorpus) -> dict:
-    """Node/triple counts for the pre-split graph and both subsets."""
-    test_users = {rec.user for rec in split.test_triples}
-    test_items = {rec.item for rec in split.test_triples}
-    test_tags = {rec.tag for rec in split.test_triples}
+    """Node/triple counts for ``graph``, the graph that was split, and both subsets."""
+    test_users, test_items, test_tags = (set(map(itemgetter(c), split.test_triples)) for c in range(3))
     return {
         "total_users": graph.n_users,
         "total_items": graph.n_items,

@@ -200,7 +200,7 @@ def _prepared(cfg: ExperimentConfig):
     """What the modes read of ``prepare_corpus(cfg)``: ``(train graph, test sets, profiles)``.
 
     No name outlives this call, so the filtered graph and the held-out
-    records are freed before the modes run.
+    quads are freed before the modes run.
     """
     split, profiles = prepare_corpus(cfg)[1:]
     return split.train, split.test_sets, profiles

@@ -24,8 +24,8 @@ def make_graph(rows):
 
 
 @pytest.fixture
-def tiny_split():
-    """Small deterministic corpus with a proper train/test split."""
+def tiny_graph():
+    """Small deterministic filtered corpus: the graph that ``tiny_split`` splits."""
     spec = SyntheticSpec(
         n_users=40,
         n_items=200,
@@ -35,9 +35,13 @@ def tiny_split():
         in_community_prob=0.9,
         seed=11,
     )
-    graph = build_graph(generate_interactions(spec))
-    filtered = filter_by_degree(graph, 2)
-    split = temporal_split(filtered, 0.8)
+    return filter_by_degree(build_graph(generate_interactions(spec)), 2)
+
+
+@pytest.fixture
+def tiny_split(tiny_graph):
+    """A proper train/test split of ``tiny_graph``, with the training profiles."""
+    split = temporal_split(tiny_graph, 0.8)
     return split, build_profiles(split.train)
 
 

@@ -527,6 +527,18 @@ class TestOutputPath:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"tagrec: error: --output {blocker / 'reports'}: {blocker} is not a directory\n"
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unwritable_output_is_io_error_before_any_work(self, command, corpus_path, tmp_path, capsys, no_work,
+                                                           monkeypatch):
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)  # root may write anywhere
+        out = tmp_path / "out"
+        argv = [*self.COMMANDS[command], "--output", str(out)]
+        if command != "gen":
+            argv += ["--input", str(corpus_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"tagrec: error: --output {out}: {tmp_path} is not writable\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_cluster_dump_needs_existing_directory(self, corpus_path, tmp_path, capsys, no_work):
         dump = tmp_path / "missing" / "clusters.tsv"
         assert main(["cluster", "--input", str(corpus_path), "--output", str(dump)]) == 2

@@ -68,6 +68,12 @@ class TestInitAssignment:
         expected = {u: i % k for i, u in enumerate(order)}
         assert init_assignment(users, k, seed) == expected
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            init_assignment(range(4), 0, seed=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            init_assignment(range(4), 2, seed=-1)
+
 
 class TestComputeCentroid:
     def test_singleton_is_all_ones(self):
@@ -114,6 +120,12 @@ class TestUserCentroidSimilarity:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             user_centroid_similarity(UserProfile({1}, {1}), None, 1.5)
+
+    def test_empty_side_has_zero_cosine(self):
+        # an empty side, of the centroid or of the profile, makes that side's denominator zero
+        items_only = Centroid({1: 1.0, 2: 0.5}, {})
+        assert user_centroid_similarity(UserProfile({1}, {1}), items_only, 0.5) == 0.5 / math.sqrt(1.25)
+        assert user_centroid_similarity(UserProfile((), {1}), Centroid({1: 1.0}, {1: 1.0}), 0.5) == 0.5
 
 
 def planted_two_community_graph():
@@ -270,6 +282,8 @@ class TestCoarseCluster:
             coarse_cluster(split.train, profiles, 2, 0, 0.5, seed=1)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             coarse_cluster(split.train, profiles, 2, 2, 0.5, seed=-3)
+        with pytest.raises(ValueError, match="gamma"):
+            coarse_cluster(split.train, profiles, 2, 2, 1.5, seed=1)
 
     def test_iterations_run_recorded(self, tiny_split):
         split, profiles = tiny_split

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tagrec import corpus
 from tagrec.corpus import (
     DataError,
     Interaction,
@@ -247,6 +248,8 @@ class TestTemporalSplit:
         for ratio in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 temporal_split(g, ratio)
+        with pytest.raises(DataError, match="empty graph"):
+            temporal_split(TripartiteGraph((), (), (), []), 0.8)
 
     def test_partition_properties_on_random_graphs(self):
         rng = random.Random(77)
@@ -255,7 +258,7 @@ class TestTemporalSplit:
             ratio = rng.choice([0.5, 0.7, 0.8, 0.9])
             split = temporal_split(g, ratio)
             train_recs = list(split.train.interactions())
-            both = train_recs + split.test_triples
+            both = train_recs + list(g.interactions(split.test_triples))
             original = list(g.interactions())
             assert sorted(both, key=_key) == sorted(original, key=_key)
             assert split.train.n_users == g.n_users
@@ -264,10 +267,13 @@ class TestTemporalSplit:
             assert 0.0 < split.realized_train_fraction < 1.0
 
     def test_tiny_ratio_still_keeps_users_in_train(self):
-        g = make_graph([("u1", "r1", "t1", 1), ("u1", "r2", "t1", 2)])
-        split = temporal_split(g, 0.1)
-        assert split.train.n_users == 1
-        assert len(split.test_triples) == 1
+        # the held-out count is ceil((1 - ratio) * n) of the decimal ratio, clamped to [1, n - 1];
+        # in floats 1.0 - 0.7 is 0.30000000000000004, which would hold out 4 of 10
+        for ratio, n, n_test in ((0.1, 2, 1), (0.7, 10, 3), (0.85, 20, 3), (0.95, 20, 1), (0.8, 10, 2)):
+            g = make_graph([("u1", f"r{i}", "t1", i) for i in range(n)])
+            split = temporal_split(g, ratio)
+            assert split.train.n_users == 1
+            assert len(split.test_triples) == n_test
 
 
 def _key(rec):
@@ -298,7 +304,7 @@ class TestAgainstStringOracle:
             split = temporal_split(filtered, ratio)
             train = split.train
             assert train == want_train
-            assert split.test_triples == want_test
+            assert list(filtered.interactions(split.test_triples)) == want_test
             assert split.realized_train_fraction == want_fraction
             assert {
                 train.users[u]: (frozenset(map(train.items.__getitem__, ts.items)), ts.unreachable)
@@ -343,6 +349,20 @@ class TestOneUserSideCopy:
         assert profiles == {u: UserProfile(items[u], tags[u]) for u in range(train.n_users)}
         assert filtered.n_triples > train.n_triples
 
+    def test_prepare_corpus_builds_no_interaction_records(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.tsv"
+        generate_synthetic(SyntheticSpec(n_users=40, n_items=200, n_tags=80, triples_per_user=24, seed=7), path)
+        built = []
+
+        def counted(*fields):
+            built.append(fields)
+            return Interaction(*fields)
+
+        monkeypatch.setattr(corpus, "Interaction", counted)
+        split = prepare_corpus(ExperimentConfig(input=str(path), degree_threshold=2))[1]
+        assert split.test_triples
+        assert built == []
+
 
 class TestRoundTrip:
     def test_write_parse_rebuild_identical(self, tmp_path, tiny_split):
@@ -352,11 +372,14 @@ class TestRoundTrip:
         reparsed = build_graph(read_triples(path))
         assert reparsed == split.train
 
-    def test_summary_schema(self, tiny_split):
+    def test_summary_schema(self, tiny_graph, tiny_split):
         split, _ = tiny_split
-        graph = build_graph(list(split.train.interactions()) + split.test_triples)
-        summary = split_summary(graph, split)
+        summary = split_summary(tiny_graph, split)
         for prefix in ("total", "train", "test"):
             for suffix in ("users", "items", "tags", "triples"):
                 assert f"{prefix}_{suffix}" in summary
         assert summary["train_triples"] + summary["test_triples"] == summary["total_triples"]
+        test = list(tiny_graph.interactions(split.test_triples))
+        assert [summary[f"test_{kind}s"] for kind in ("user", "item", "tag")] == [
+            len({getattr(rec, kind) for rec in test}) for kind in ("user", "item", "tag")
+        ]

@@ -150,6 +150,16 @@ class TestRankUcf:
         assert len(padded[0].entries) == 2  # r9, r8 score 0 but are still listed
         assert all(s == 0.0 for _, s in padded[0].entries)
 
+    def test_beta_outside_unit_interval_rejected(self):
+        g = make_graph([("u1", "r1", "t1", 1), ("u2", "r2", "t1", 2)])
+        profiles = build_profiles(g)
+        clustering = coarse_cluster(g, profiles, 1, 1, 0.5, seed=0)
+        for beta in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="beta"):
+                rank_ucf(g, profiles, beta, 2)
+            with pytest.raises(ValueError, match="beta"):
+                rank_fcum(clustering, g, profiles, beta, 2)
+
 
 class TestRankFcum:
     def test_single_cluster_equals_baseline_exactly(self):

@@ -221,8 +221,6 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
     The user-cluster dot products are counted once from the initial
     assignment; after each round only the users that moved update them.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if not 0.0 <= gamma <= 1.0:

@@ -9,16 +9,17 @@ external ids per node kind, and nothing per user. The profiles of
 and the split gathers what it needs one user at a time. Filtering and
 splitting stay in that integer space: they keep a subsequence of the quads
 and renumber the surviving ids compactly, in first-appearance order, which
-yields the same tables as interning the surviving records afresh.
-``Interaction`` records appear only where records are read or written: the
-split's held-out triples stay quads until ``tagrec split`` writes them.
+yields the same tables as interning the surviving records afresh. The
+split's held-out counts are exact integer arithmetic on the ratio's
+shortest decimal form. ``Interaction`` records appear only where records
+are read or written: the split's held-out triples stay quads until
+``tagrec split`` writes them.
 """
 
 import contextlib
 import os
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, starmap
 from operator import itemgetter, not_
 from pathlib import Path
@@ -140,9 +141,7 @@ def _read(path, consume):
     try:
         with path.open("r", encoding="utf-8-sig") as fh:
             return consume(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from None
-    except DataError as exc:
+    except (OSError, UnicodeDecodeError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -277,11 +276,11 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
     For each user the latest ``ceil((1-ratio) * n_u)`` triples (ordered by
     timestamp, ties by item then tag index) go to test, the rest to train,
     clamped so every user keeps at least one triple on each side. The
-    ceiling is exact, of ``1-ratio`` taken from the ratio's decimal value,
-    so a ratio of 0.7 holds out 3 of 10 triples. A user's test item set is
-    their distinct test items minus their training items; when that
-    subtraction empties the set, the raw distinct test items are used so
-    the set is never empty.
+    ceiling is exact, of ``1-ratio`` taken from the shortest decimal form
+    of ``float(ratio)``, so a ratio of 0.7 holds out 3 of 10 triples. A
+    user's test item set is their distinct test items minus their training
+    items; when that subtraction empties the set, the raw distinct test
+    items are used so the set is never empty.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be strictly between 0 and 1")
@@ -289,7 +288,10 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
         raise DataError("cannot split an empty graph")
 
     triples = graph.triples
-    share = 1 - Fraction(str(ratio))  # the held-out share, exact
+    # ratio as digits * 10**-scale makes 1 - ratio exact in integers; fractions would load decimal
+    mantissa, _, exponent = repr(float(ratio)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits, scale = int(whole + fraction), len(fraction) - int(exponent or 0)
     per_user = [[] for _ in range(graph.n_users)]
     for tid, u in enumerate(map(itemgetter(0), triples)):
         per_user[u].append(tid)
@@ -302,7 +304,7 @@ def temporal_split(graph: TripartiteGraph, ratio: float) -> SplitCorpus:
                 f"user {graph.users[u]!r} has {len(tids)} triple(s); need at least 2 to split"
             )
         tids.sort(key=lambda tid: (triples[tid][3], triples[tid][1], triples[tid][2]))
-        n_test = -(-share.numerator * len(tids) // share.denominator)
+        n_test = -(-(10**scale - digits) * len(tids) // 10**scale)
         n_train = len(tids) - max(1, min(n_test, len(tids) - 1))
         tested = set()
         for tid in tids[n_train:]:

@@ -246,14 +246,14 @@ def _claim_back(lo, hi):
 def _ucf_child(sender, train, profiles, cfg, kmax, lo, hi):
     """Body of the forked child: rank UCF's users from the back and send the outcome.
 
-    The message is ``(False, (ranklists, timing))``, or ``(True, exception)``.
+    The message is ``(ranklists, timing)``, or the exception that ranking raised.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and terminates this child
     try:
         _, ranklists, timing = _rank("ucf", train, profiles, cfg, kmax, _claim_back(lo, hi))
-        message = (False, (ranklists, timing))
+        message = (ranklists, timing)
     except Exception as exc:
-        message = (True, exc)
+        message = exc
     sender.send(message)
 
 
@@ -271,11 +271,11 @@ def _run_side_by_side(train, test_sets, profiles, cfg, kmax) -> dict:
     processes' timings, its cost on one core.
 
     The child inherits the train graph and profiles and sends its
-    ranklists and timing back over a one-way pipe. An exception raised in
-    the child is raised here with its type and message; a child that exits
-    without a result raises ``ChildProcessError`` once this process has
-    ranked its share. The child is always joined, and is terminated if
-    anything here fails, ``KeyboardInterrupt`` included.
+    ranklists and timing back over a one-way pipe, or the exception that
+    stopped it, which is raised here with its type and message. A child
+    that exits without a result raises ``ChildProcessError`` once this
+    process has ranked its share. The child is always joined, and is
+    terminated if anything here fails, ``KeyboardInterrupt`` included.
     """
     import multiprocessing  # here only: at module level it adds ~1 MiB to the peak RSS of every run
 
@@ -289,12 +289,12 @@ def _run_side_by_side(train, test_sets, profiles, cfg, kmax) -> dict:
         fcum = _report("fcum", train, test_sets, cfg, *_rank("fcum", train, profiles, cfg, kmax))
         _, ranklists, timing = _rank("ucf", train, profiles, cfg, kmax, _claim_front(lo, hi))
         try:
-            failed, outcome = receiver.recv()
+            outcome = receiver.recv()
         except EOFError:
             child.join()
             message = f"the ucf child exited with code {child.exitcode} without a result"
             raise ChildProcessError(message) from None
-        if failed:
+        if isinstance(outcome, Exception):
             raise outcome
     except BaseException:
         child.terminate()
@@ -382,11 +382,13 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
     """Re-run the experiment once per value of one swept parameter.
 
     Everything else, including the seed, stays fixed. Every value is checked
-    before the first run. The corpus is prepared once, unless the swept
-    parameter is ``degree_threshold``, the only one that changes it.
-    Individual runs do not write files; when ``cfg.output`` is set a
-    combined sweep report keyed by value is written instead, once every
-    value has run, and its path is in the last result's ``written``.
+    before the first run. The corpus is prepared once and shared, unless the
+    swept parameter is ``degree_threshold``, the only one that changes it;
+    then each value prepares its own. Individual runs do not write files;
+    when ``cfg.output`` is set a combined sweep report keyed by value is
+    written instead, once every value has run, and its path is in the last
+    result's ``written``. Its ``values`` are written as given, as in each
+    run's config echo.
     """
     if param not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
@@ -398,11 +400,8 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
     run_cfgs = [dataclasses.replace(cfg, **{param: value, "output": None}) for value in values]
 
     with _collector_paused():
-        if param == "degree_threshold":
-            results = [run_experiment(run_cfg) for run_cfg in run_cfgs]
-        else:
-            prepared = _prepared(cfg)
-            results = [_run_prepared(run_cfg, *prepared) for run_cfg in run_cfgs]
+        shared = None if param == "degree_threshold" else _prepared(cfg)
+        results = [_run_prepared(run_cfg, *(shared or _prepared(run_cfg))) for run_cfg in run_cfgs]
 
         if cfg.output is not None:
             directory = Path(cfg.output)
@@ -412,14 +411,10 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
                 runs[str(value)], timing[str(value)] = _result_docs(result)
             doc = {
                 "param": param,
-                "values": [_json_value(v) for v in values],
+                "values": values,
                 "config": cfg.echo(),
                 "runs": runs,
                 "timing": timing,
             }
             results[-1].written.append(write_json(directory / "sweep.json", doc))
         return results
-
-
-def _json_value(v):
-    return v if isinstance(v, (int, float, str)) else str(v)

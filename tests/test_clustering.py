@@ -276,7 +276,7 @@ class TestCoarseCluster:
 
     def test_validation(self, tiny_split):
         split, profiles = tiny_split
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be at least 1"):
             coarse_cluster(split.train, profiles, 0, 2, 0.5, seed=1)
         with pytest.raises(ValueError):
             coarse_cluster(split.train, profiles, 2, 0, 0.5, seed=1)

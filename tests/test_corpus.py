@@ -1,5 +1,12 @@
 import io
+import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +31,8 @@ from tagrec.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import make_graph
 from oracles import naive_filter_by_degree, naive_temporal_split, random_graph, user_sets
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParseTriples:
@@ -67,6 +76,11 @@ class TestParseTriples:
         bad.write_text("u1\tr1\n", encoding="utf-8")
         with pytest.raises(DataError, match="bad.tsv.*line 1"):
             read_triples(bad)
+        undecodable = tmp_path / "latin.tsv"
+        undecodable.write_bytes(b"u1\tr\xff\tt1\t1\n")
+        for read in (read_triples, read_graph):
+            with pytest.raises(DataError, match="latin.tsv.*utf-8"):
+                read(undecodable)
 
     @pytest.mark.parametrize("text", [
         "# header\n\nb\tr2\tt1\t3\na\tr1\tt1\t2\nb\tr2\tt1\t3\r\n  \na\tr2\tt2\t0\n",
@@ -269,11 +283,40 @@ class TestTemporalSplit:
     def test_tiny_ratio_still_keeps_users_in_train(self):
         # the held-out count is ceil((1 - ratio) * n) of the decimal ratio, clamped to [1, n - 1];
         # in floats 1.0 - 0.7 is 0.30000000000000004, which would hold out 4 of 10
-        for ratio, n, n_test in ((0.1, 2, 1), (0.7, 10, 3), (0.85, 20, 3), (0.95, 20, 1), (0.8, 10, 2)):
+        # 5e-05 prints in exponent form, and its count is not the n - 1 clamp
+        for ratio, n, n_test in ((0.1, 2, 1), (0.7, 10, 3), (0.85, 20, 3), (0.95, 20, 1), (0.8, 10, 2),
+                                 (5e-05, 40_000, 39_998)):
             g = make_graph([("u1", f"r{i}", "t1", i) for i in range(n)])
             split = temporal_split(g, ratio)
             assert split.train.n_users == 1
             assert len(split.test_triples) == n_test
+
+    def test_held_out_counts_equal_the_exact_decimal_ceiling(self):
+        sizes = (2, 3, 7, 10, 20, 97, 100)
+        g = make_graph([(f"u{n}", f"r{i}", "t1", i) for n in sizes for i in range(n)])
+        rng = random.Random(2024)
+        ratios = [0.5, 0.7, 0.85, 0.95, 0.99, 5e-05, 1.5e-07, 0.30000000000000004, 0.9999999999999999]
+        for _ in range(300):
+            digits = rng.randint(1, 6)
+            ratios += [rng.random(), rng.randint(1, 10**digits - 1) / 10**digits,
+                       rng.randint(1, 99) * 10.0**-rng.randint(5, 30), 1 - rng.random() * 10.0**-digits]
+        for ratio in filter(lambda r: 0.0 < r < 1.0, ratios):
+            share = 1 - Fraction(str(ratio))
+            held = Counter(u for u, _, _, _ in temporal_split(g, ratio).test_triples)
+            want = [max(1, min(math.ceil(share * n), n - 1)) for n in sizes]
+            assert [held[u] for u in range(len(sizes))] == want, ratio
+
+    def test_the_package_loads_neither_fractions_nor_decimal(self):
+        # fractions imports decimal, whose C module adds ~0.4 MiB to a run's peak RSS
+        code = ("import sys, tagrec.cli\n"
+                "from tagrec.corpus import build_graph, temporal_split\n"
+                "temporal_split(build_graph([('u', 'r', 't', 1), ('u', 's', 't', 2)]), 0.7)\n"
+                "print(sorted({'fractions', 'decimal', '_decimal'} & set(sys.modules)))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 def _key(rec):

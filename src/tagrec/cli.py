@@ -3,8 +3,8 @@
 Subcommands: ``run`` (one experiment), ``sweep`` (one parameter, several
 values), ``gen`` (synthetic corpus), ``split`` (persist a train/test split),
 ``cluster`` (persist a clustering dump). Exit codes: 0 success, 1 usage
-error, 2 data or I/O error. An unusable ``--output`` is reported before any
-work starts.
+error, 2 data or I/O error. ``main`` checks ``--output`` once, before the
+config or the spec checks its values and before any work starts.
 """
 
 import argparse
@@ -125,18 +125,13 @@ def _check_output(path, directory: bool) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _config(args)
-    if cfg.output is not None:
-        _check_output(cfg.output, directory=True)
-    result = run_experiment(cfg)
+    result = run_experiment(_config(args))
     _print_summary(result)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _config(args)
-    if cfg.output is not None:
-        _check_output(cfg.output, directory=True)
     cast = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}[args.param]
     try:
         values = [cast(tok) for tok in args.values.split(",") if tok.strip()]
@@ -150,7 +145,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _check_output(args.output, directory=False)
     spec = SyntheticSpec(**_given(args, SyntheticSpec))
     path = generate_synthetic(spec, args.output)
     print(f"wrote {path} ({spec.n_users * spec.triples_per_user} records)")
@@ -158,10 +152,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    _check_output(args.output, directory=True)
     filtered, split = split_corpus(_config(args, skip=("output",)))  # --output is the split's directory
     directory = Path(args.output)
-    directory.mkdir(parents=True, exist_ok=True)
     write_triples(split.train.interactions(), directory / "train.tsv")
     write_triples(filtered.interactions(split.test_triples), directory / "test.tsv")
     write_summary(split_summary(filtered, split), directory / "summary.txt")
@@ -171,7 +163,6 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    _check_output(args.output, directory=False)
     cfg = _config(args, skip=("output",))  # --output is the dump's path
     train, profiles = _prepared(cfg)[::2]  # the test sets are freed before clustering
     k = choose_k(train.n_users, cfg.avg_cluster_size)
@@ -186,9 +177,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser("run", help="run one experiment end to end")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, output_is_directory=True)
     p_sweep = sub.add_parser("sweep", help="re-run an experiment over one parameter")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, output_is_directory=True)
     for p in (p_run, p_sweep):
         _add_field_flags(p, ExperimentConfig)
     p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
@@ -197,19 +188,19 @@ def _build_parser() -> _Parser:
     p_gen = sub.add_parser("gen", help="generate a synthetic planted-community corpus")
     p_gen.add_argument("--output", required=True)
     _add_field_flags(p_gen, SyntheticSpec)
-    p_gen.set_defaults(func=_cmd_gen)
+    p_gen.set_defaults(func=_cmd_gen, output_is_directory=False)
 
     split_fields = ("degree_threshold", "split_ratio")
-    for name, handler, out_help, names in (
-        ("split", _cmd_split, "directory for train.tsv/test.tsv/summary.txt", split_fields),
-        ("cluster", _cmd_cluster, "path for the user<TAB>cluster dump",
+    for name, handler, is_directory, out_help, names in (
+        ("split", _cmd_split, True, "directory for train.tsv/test.tsv/summary.txt", split_fields),
+        ("cluster", _cmd_cluster, False, "path for the user<TAB>cluster dump",
          (*split_fields, "gamma", "avg_cluster_size", "iterations", "seed")),
     ):
         p = sub.add_parser(name, help=f"persist a {name} for a corpus")
         _add_field_flags(p, ExperimentConfig, ("input",))
         p.add_argument("--output", required=True, help=out_help)
         _add_field_flags(p, ExperimentConfig, names)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, output_is_directory=is_directory)
 
     return parser
 
@@ -218,6 +209,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.output is not None:
+            _check_output(args.output, args.output_is_directory)
         return args.func(args)
     except ValueError as exc:
         print(f"tagrec: error: {exc}", file=sys.stderr)

@@ -158,11 +158,13 @@ def read_graph(path) -> TripartiteGraph:
 def _atomic_open(path):
     """A text file that replaces ``path`` once the block ends without error.
 
-    Every file the package writes goes through here: it is written to a temp
-    file in the same directory, then renamed over its target, so a failed
-    write leaves the earlier file in place and no partial file behind.
+    Every file the package writes goes through here: its directory is
+    created if missing, and it is written to a temp file in that directory,
+    then renamed over its target, so a failed write leaves the earlier file
+    in place and no partial file behind.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:

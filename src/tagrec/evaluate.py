@@ -121,7 +121,6 @@ def write_json(path, doc) -> Path:
 def write_report(report: EvalReport, directory, stem: str) -> list[Path]:
     """Write ``<stem>.report.txt`` and ``<stem>.report.json``; return the paths."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     txt_path = directory / f"{stem}.report.txt"
     with _atomic_open(txt_path) as fh:
         fh.write(report_text(report))

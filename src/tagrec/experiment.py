@@ -19,6 +19,7 @@ the pause.
 import contextlib
 import dataclasses
 import gc
+import json
 import os
 import signal
 import threading
@@ -81,6 +82,10 @@ class ExperimentConfig:
         if not ks or ks[0] < 1:
             raise ValueError("k_list must contain positive integers")
         object.__setattr__(self, "k_list", ks)
+        try:  # a run's config echo is written to JSON, so a value JSON cannot write would fail after the work
+            json.dumps(self.echo())
+        except TypeError as exc:
+            raise ValueError(f"config values must be JSON-writable: {exc}") from None
 
     def echo(self) -> dict:
         out = dataclasses.asdict(self)
@@ -330,7 +335,6 @@ def _run_prepared(cfg: ExperimentConfig, train, test_sets, profiles) -> Experime
 
     if cfg.output is not None:
         directory = Path(cfg.output)
-        directory.mkdir(parents=True, exist_ok=True)
         for mode, report in reports.items():
             result.written.extend(write_report(report, directory, mode))
         if cfg.dump_ranklists:
@@ -405,7 +409,6 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
 
         if cfg.output is not None:
             directory = Path(cfg.output)
-            directory.mkdir(parents=True, exist_ok=True)
             runs, timing = {}, {}
             for value, result in zip(values, results):
                 runs[str(value)], timing[str(value)] = _result_docs(result)

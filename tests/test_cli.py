@@ -498,15 +498,23 @@ class TestOutputPath:
         "gen": ["gen", "--users", "20"],
     }
     FILE_OUTPUTS = ("cluster", "gen")
+    # a value that argparse accepts and the config or the spec rejects
+    BAD_VALUES = {"run": ["--seed", "-3"], "sweep": ["--seed", "-3"], "split": ["--split-ratio", "1.5"],
+                  "cluster": ["--seed", "-3"], "gen": ["--seed", "-3"]}
 
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_unusable_output_is_io_error_before_any_work(self, command, corpus_path, tmp_path, capsys, no_work):
+    @pytest.mark.parametrize("command, bad_value", [
+        *(pytest.param(command, (), id=command) for command in sorted(COMMANDS)),
+        *(pytest.param(command, value, id=f"{command}-and-a-bad-value")
+          for command, value in sorted(BAD_VALUES.items())),
+    ])
+    def test_unusable_output_is_io_error_before_any_work(self, command, bad_value, corpus_path, tmp_path, capsys,
+                                                         no_work):
         taken = tmp_path / "taken"
         if command in self.FILE_OUTPUTS:
             taken.mkdir()  # a directory where the output file should go
         else:
             taken.write_text("keep\n", encoding="utf-8")
-        argv = [*self.COMMANDS[command], "--output", str(taken)]
+        argv = [*self.COMMANDS[command], "--output", str(taken), *bad_value]
         if command != "gen":
             argv += ["--input", str(corpus_path)]
         assert main(argv) == 2

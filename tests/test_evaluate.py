@@ -198,7 +198,9 @@ class TestReportSerialization:
         path = write_json(tmp_path / "doc.json", doc)
         assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def test_failed_write_keeps_the_earlier_file_and_no_temp_file(self, tmp_path):
+    @staticmethod
+    def writer_cases():
+        """``(file name, writer, good document, bad document, the bad one's error)`` per file writer."""
         class Unformattable:
             def __format__(self, spec):
                 raise ValueError("cannot format")
@@ -206,7 +208,7 @@ class TestReportSerialization:
         g = make_graph([("u1", "r1", "t1", 1), ("u2", "r2", "t1", 2)])
         records = list(g.interactions())
         # every bad document fails after the writer has written its first line
-        cases = (
+        return (
             ("doc.json", lambda doc, path: write_json(path, doc),
              {"a": 1}, {"a": 2, "b": object()}, TypeError),
             ("triples.tsv", write_triples, records, [records[0], None], TypeError),
@@ -216,6 +218,9 @@ class TestReportSerialization:
             ("ranklists.tsv", lambda doc, path: write_ranklists(doc, g, path),
              {0: ranklist(0, [1])}, {0: ranklist(0, [1]), 2: ranklist(2, [0])}, IndexError),
         )
+
+    def test_failed_write_keeps_the_earlier_file_and_no_temp_file(self, tmp_path):
+        cases = self.writer_cases()
         for name, write, good, bad, error in cases:
             path = tmp_path / name
             write(good, path)
@@ -224,3 +229,11 @@ class TestReportSerialization:
                 write(bad, path)
             assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(case[0] for case in cases)
+
+    def test_writer_creates_a_missing_directory_and_no_temp_file(self, tmp_path):
+        for name, write, good, _, _ in self.writer_cases():
+            write(good, tmp_path / name)
+            directory = tmp_path / "missing" / name
+            write(good, directory / name)
+            assert [p.name for p in directory.iterdir()] == [name]
+            assert (directory / name).read_bytes() == (tmp_path / name).read_bytes()

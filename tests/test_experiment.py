@@ -7,6 +7,7 @@ import random
 import threading
 import time
 import weakref
+from fractions import Fraction
 from itertools import count, cycle, repeat
 from types import SimpleNamespace
 
@@ -75,6 +76,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):  # random.Random(-3) would deal seed 3's clusters
             ExperimentConfig(input="x", seed=-3)
         ExperimentConfig(input="x", seed=0)
+        # a run writes its config echo to JSON, so a value that JSON cannot write is refused up front
+        for field, value in (("beta", Fraction(1, 2)), ("iterations", Fraction(2)), ("degree_threshold", Fraction(3))):
+            with pytest.raises(ValueError, match="JSON-writable: Object of type Fraction"):
+                ExperimentConfig(input="x", **{field: value})
 
     def test_k_list_sorted_and_deduplicated(self):
         cfg = ExperimentConfig(input="x", k_list=(10, 5, 5, 1))
@@ -203,6 +208,16 @@ class TestSweep:
             direct = run_experiment(config(corpus_path, **{param: value}))
             for mode in ("ucf", "fcum"):
                 assert result.reports[mode].per_k == direct.reports[mode].per_k
+
+    def test_value_json_cannot_write_is_refused_before_any_run(self, corpus_path, tmp_path, monkeypatch):
+        def fail(cfg):
+            raise AssertionError("the sweep started a run")
+
+        monkeypatch.setattr(experiment, "prepare_corpus", fail)
+        cfg = config(corpus_path, output=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match="JSON-writable"):
+            sweep(cfg, "beta", [Fraction(1, 4), Fraction(1, 2)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_parameter_rejected(self, corpus_path):
         with pytest.raises(ValueError):

@@ -3,17 +3,20 @@
 ``tests/test_golden_output.py`` and ``tests/test_synthetic.py`` check their
 pins under the interpreter that runs the suite. Here the commands behind
 those pins run as child processes of each other ``python3.10`` to
-``python3.13`` that starts and reports its own version, with ``PYTHONPATH``
+``python3.13``, on PATH or in pyenv's ``$PYENV_ROOT/versions`` (default
+``~/.pyenv``), that starts and reports its own version, with ``PYTHONPATH``
 at the package source: the package needs only the standard library, so the
 other interpreter needs no pytest. Every digest must equal its pin, imported
 from those modules. The test is skipped when no other interpreter is found.
 """
 
 import dataclasses
+import os
 import shutil
 import subprocess
 import sys
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -40,21 +43,27 @@ from test_synthetic import CORPUS_PINNED, ONE_COMMUNITY_PINNED, PINNED_SPECS, sm
 
 
 def _other_interpreters() -> dict[str, str]:
-    """``python3.10`` to ``python3.13`` on PATH, less the running version, that start as the version they name."""
+    """``python3.10`` to ``python3.13``, less the running version, that start as the version they name.
+
+    Each version's first such binary is taken: the one on PATH, then pyenv's
+    own builds, which are found even where PATH has only a shim that fails.
+    """
+    pyenv_versions = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
     found = {}
     for minor in range(10, 14):
         if (3, minor) == sys.version_info[:2]:
             continue
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None:
-            continue
-        try:
-            proc = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
-                                  capture_output=True, text=True, timeout=60)
-        except (OSError, subprocess.TimeoutExpired):
-            continue
-        if proc.returncode == 0 and proc.stdout.strip() == f"(3, {minor})":
-            found[f"3.{minor}"] = exe
+        name = f"python3.{minor}"
+        candidates = [shutil.which(name), *map(str, sorted(pyenv_versions.glob(f"3.{minor}.*/bin/{name}")))]
+        for exe in filter(None, candidates):
+            try:
+                proc = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                                      capture_output=True, text=True, timeout=60)
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            if proc.returncode == 0 and proc.stdout.strip() == f"(3, {minor})":
+                found[f"3.{minor}"] = exe
+                break
     return found
 
 
@@ -107,6 +116,6 @@ def _pinned_outputs(python: str, workdir) -> dict[str, str]:
 def test_pinned_outputs_under_every_other_interpreter(tmp_path):
     interpreters = _other_interpreters()
     if not interpreters:
-        pytest.skip("no other python3.10 to python3.13 on PATH starts")
+        pytest.skip("no other python3.10 to python3.13 on PATH or under pyenv starts")
     for version, python in interpreters.items():
         assert _pinned_outputs(python, tmp_path / version) == PINS, f"Python {version} ({python})"

@@ -154,6 +154,12 @@ def read_graph(path) -> TripartiteGraph:
     return _read(path, lambda fh: build_graph(_records(fh)))
 
 
+def _check_integer(name, value) -> None:
+    """Raise ``ValueError("<name> must be an integer")`` unless ``value`` is an ``int``; a ``bool`` is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+
+
 @contextlib.contextmanager
 def _atomic_open(path):
     """A text file that replaces ``path`` once the block ends without error.

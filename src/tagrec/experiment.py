@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clustering import choose_k, coarse_cluster
-from .corpus import DataError, filter_by_degree, read_graph, temporal_split
+from .corpus import DataError, _check_integer, filter_by_degree, read_graph, temporal_split
 from .evaluate import EvalReport, metrics_at_k, report_dict, write_json, write_report
 from .profiles import build_profiles
 from .recommend import rank_fcum, rank_ucf, write_ranklists
@@ -65,8 +65,17 @@ class ExperimentConfig:
     dump_ranklists: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "k_list", tuple(self.k_list))  # any iterable: the checks below read it twice
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        try:  # a run's config echo is written to JSON, so a value JSON cannot write would fail after the work
+            json.dumps(self.echo())
+        except TypeError as exc:
+            raise ValueError(f"config values must be JSON-writable: {exc}") from None
+        for name in ("degree_threshold", "avg_cluster_size", "iterations", "seed"):
+            _check_integer(name, getattr(self, name))
+        for k in self.k_list:
+            _check_integer(f"k_list entry {k!r}", k)
         if self.degree_threshold < 0:
             raise ValueError("degree_threshold must be non-negative")
         if not 0.0 < self.split_ratio < 1.0:
@@ -78,14 +87,10 @@ class ExperimentConfig:
             raise ValueError("avg_cluster_size and iterations must be positive")
         if self.seed < 0:  # random.Random seeds with abs(seed), so -s would deal s's clusters
             raise ValueError("seed must be non-negative")
-        ks = tuple(sorted(set(int(k) for k in self.k_list)))
+        ks = tuple(sorted(set(self.k_list)))
         if not ks or ks[0] < 1:
             raise ValueError("k_list must contain positive integers")
         object.__setattr__(self, "k_list", ks)
-        try:  # a run's config echo is written to JSON, so a value JSON cannot write would fail after the work
-            json.dumps(self.echo())
-        except TypeError as exc:
-            raise ValueError(f"config values must be JSON-writable: {exc}") from None
 
     def echo(self) -> dict:
         out = dataclasses.asdict(self)
@@ -120,12 +125,13 @@ def fcum_scored_work(clustering, train) -> int:
 
 
 def _rank(mode, train, profiles, cfg, kmax, users=None):
-    """Time one mode's ranking; return ``(clustering or None, ranklists, timing)``.
+    """Time one mode's ranking; return ``(ranklists, timing, work)``.
 
     ``fcum`` clusters the users and then ranks within each cluster; ``ucf``
     ranks the given target ``users`` (every user by default) against all
     users, so its clustering time is 0 and its score time is its total time.
-    This is the one timer of both modes.
+    This is the one timer of both modes. ``work`` holds the counters, the
+    clustering's read after the clock stops; no ``Clustering`` outlives it.
     """
     k_clusters = choose_k(train.n_users, cfg.avg_cluster_size) if mode == "fcum" else None
     start = mid = time.perf_counter()
@@ -136,12 +142,6 @@ def _rank(mode, train, profiles, cfg, kmax, users=None):
     else:
         clustering, ranklists = None, rank_ucf(train, profiles, cfg.beta, kmax, users)
     end = time.perf_counter()
-    return clustering, ranklists, {"cluster_seconds": mid - start, "score_seconds": end - mid,
-                                   "total_seconds": end - start}
-
-
-def _report(mode, train, test_sets, cfg, clustering, ranklists, timing):
-    """Evaluate one mode's ranklists; return ``(report, ranklists)``, with any clustering's work counters."""
     ucf_work = ucf_scored_work(train)
     work = {
         "users": train.n_users,
@@ -158,14 +158,19 @@ def _report(mode, train, test_sets, cfg, clustering, ranklists, timing):
             member_total=sum(len(m) for m in clustering.user_clusters),
             clustering_coordinate_ops=clustering.coordinate_ops,
         )
-    report = EvalReport(
+    timing = {"cluster_seconds": mid - start, "score_seconds": end - mid, "total_seconds": end - start}
+    return ranklists, timing, work
+
+
+def _report(mode, test_sets, cfg, ranklists, timing, work) -> EvalReport:
+    """Evaluate one mode's ranklists against the test sets; ``_rank``'s timing and work pass through."""
+    return EvalReport(
         mode=mode,
         per_k=[metrics_at_k(ranklists, test_sets, k) for k in cfg.k_list],
         timing=timing,
         work=work,
-        config=dict(cfg.echo(), k_clusters=None if clustering is None else clustering.k),
+        config=dict(cfg.echo(), k_clusters=work.get("clusters")),
     )
-    return report, ranklists
 
 
 def _ratios(reports) -> dict:
@@ -251,19 +256,18 @@ def _claim_back(lo, hi):
 def _ucf_child(sender, train, profiles, cfg, kmax, lo, hi):
     """Body of the forked child: rank UCF's users from the back and send the outcome.
 
-    The message is ``(ranklists, timing)``, or the exception that ranking raised.
+    The message is ``_rank``'s ``(ranklists, timing, work)``, or the exception that ranking raised.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and terminates this child
     try:
-        _, ranklists, timing = _rank("ucf", train, profiles, cfg, kmax, _claim_back(lo, hi))
-        message = (ranklists, timing)
+        message = _rank("ucf", train, profiles, cfg, kmax, _claim_back(lo, hi))
     except Exception as exc:
         message = exc
     sender.send(message)
 
 
-def _run_side_by_side(train, test_sets, profiles, cfg, kmax) -> dict:
-    """Run FCUM here while a forked child ranks UCF's users; return ``{mode: (report, ranklists)}``.
+def _run_side_by_side(train, profiles, cfg, kmax) -> dict:
+    """Rank FCUM here while a forked child ranks UCF's users; return ``{mode: _rank's triple}``.
 
     UCF's target users are shared through two integers in shared memory:
     the child claims users from the back as soon as it starts (``hi``
@@ -272,15 +276,15 @@ def _run_side_by_side(train, test_sets, profiles, cfg, kmax) -> dict:
     towards each other, a stale read of the other's end only makes a process
     stop later. So no user is skipped, only where the ends meet can a user
     be ranked twice (to the same ranklist), and there is no lock that a
-    dying child could leave held. UCF's timing is the sum of both
-    processes' timings, its cost on one core.
+    dying child could leave held. UCF's ranklists are both processes'
+    merged, and its timing is the sum of their timings, its cost on one core.
 
-    The child inherits the train graph and profiles and sends its
-    ranklists and timing back over a one-way pipe, or the exception that
-    stopped it, which is raised here with its type and message. A child
-    that exits without a result raises ``ChildProcessError`` once this
-    process has ranked its share. The child is always joined, and is
-    terminated if anything here fails, ``KeyboardInterrupt`` included.
+    The child inherits the train graph and profiles and sends ``_rank``'s
+    triple back over a one-way pipe, or the exception that stopped it,
+    which is raised here with its type and message. A child that exits
+    without a result raises ``ChildProcessError`` once this process has
+    ranked its share. The child is always joined, and is terminated if
+    anything here fails, ``KeyboardInterrupt`` included.
     """
     import multiprocessing  # here only: at module level it adds ~1 MiB to the peak RSS of every run
 
@@ -291,8 +295,8 @@ def _run_side_by_side(train, test_sets, profiles, cfg, kmax) -> dict:
     child.start()
     sender.close()  # so the child's exit without a result reads as end of file
     try:
-        fcum = _report("fcum", train, test_sets, cfg, *_rank("fcum", train, profiles, cfg, kmax))
-        _, ranklists, timing = _rank("ucf", train, profiles, cfg, kmax, _claim_front(lo, hi))
+        fcum = _rank("fcum", train, profiles, cfg, kmax)
+        ranklists, timing, work = _rank("ucf", train, profiles, cfg, kmax, _claim_front(lo, hi))
         try:
             outcome = receiver.recv()
         except EOFError:
@@ -307,10 +311,10 @@ def _run_side_by_side(train, test_sets, profiles, cfg, kmax) -> dict:
     finally:
         child.join()
         receiver.close()
-    child_ranklists, child_timing = outcome
+    child_ranklists, child_timing, _ = outcome
     ranklists.update(child_ranklists)
     timing = {key: seconds + child_timing[key] for key, seconds in timing.items()}
-    return {"ucf": _report("ucf", train, test_sets, cfg, None, ranklists, timing), "fcum": fcum}
+    return {"ucf": (ranklists, timing, work), "fcum": fcum}
 
 
 def _run_prepared(cfg: ExperimentConfig, train, test_sets, profiles) -> ExperimentResult:
@@ -323,13 +327,12 @@ def _run_prepared(cfg: ExperimentConfig, train, test_sets, profiles) -> Experime
                     and threading.active_count() == 1)
     start = time.perf_counter()
     if side_by_side:
-        runs = _run_side_by_side(train, test_sets, profiles, cfg, kmax)
+        runs = _run_side_by_side(train, profiles, cfg, kmax)
     else:
-        runs = {mode: _report(mode, train, test_sets, cfg, *_rank(mode, train, profiles, cfg, kmax))
-                for mode in modes}
+        runs = {mode: _rank(mode, train, profiles, cfg, kmax) for mode in modes}
     modes_wall_seconds = time.perf_counter() - start
 
-    reports = {mode: report for mode, (report, _) in runs.items()}
+    reports = {mode: _report(mode, test_sets, cfg, *run) for mode, run in runs.items()}
     ratios = _ratios(reports) if len(reports) == 2 else None
     result = ExperimentResult(reports=reports, ratios=ratios, modes_wall_seconds=modes_wall_seconds)
 
@@ -338,9 +341,9 @@ def _run_prepared(cfg: ExperimentConfig, train, test_sets, profiles) -> Experime
         for mode, report in reports.items():
             result.written.extend(write_report(report, directory, mode))
         if cfg.dump_ranklists:
-            for mode, (_, ranklists) in runs.items():
+            for mode in reports:
                 path = directory / f"{mode}.ranklists.tsv"
-                write_ranklists(ranklists, train, path)
+                write_ranklists(runs[mode][0], train, path)
                 result.written.append(path)
         if ratios is not None:
             docs, timing = _result_docs(result)
@@ -355,11 +358,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Returns one report per requested mode; with ``mode="both"`` the result
     also carries fcum/ucf timing and metric ratios, and both algorithms see
     the identical split and profiles. ``modes_wall_seconds`` is the time
-    from the start of the modes until all have finished. It covers the sum
-    of the modes' times when they ran in turn. Side by side, where a forked
-    child ranks UCF's users while this process runs FCUM and then helps with
-    UCF, it covers FCUM's time and half the sum, as both processes' timed
-    spans lie in it.
+    from the start of the modes until all have finished ranking; the
+    reports are built after it. It covers the sum of the modes' ranking
+    times when they ran in turn. Side by side, where a forked child ranks
+    UCF's users while this process ranks FCUM and then helps with UCF, it
+    covers FCUM's time and half the sum, as both processes' timed spans lie
+    in it.
     """
     with _collector_paused():
         return _run_prepared(cfg, *_prepared(cfg))

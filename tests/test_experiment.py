@@ -80,10 +80,19 @@ class TestConfigValidation:
         for field, value in (("beta", Fraction(1, 2)), ("iterations", Fraction(2)), ("degree_threshold", Fraction(3))):
             with pytest.raises(ValueError, match="JSON-writable: Object of type Fraction"):
                 ExperimentConfig(input="x", **{field: value})
+        # a float count raised TypeError only once clustering began, a bool ran, and a float k was truncated
+        for field, value in (("iterations", 2.0), ("iterations", True), ("avg_cluster_size", 90.0),
+                             ("degree_threshold", False), ("seed", 42.0)):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+                ExperimentConfig(input="x", **{field: value})
+        for k_list in ((2.5, 5), (1, True), (5, 5.0)):
+            with pytest.raises(ValueError, match="k_list entry .* must be an integer"):
+                ExperimentConfig(input="x", k_list=k_list)
 
     def test_k_list_sorted_and_deduplicated(self):
         cfg = ExperimentConfig(input="x", k_list=(10, 5, 5, 1))
         assert cfg.k_list == (1, 5, 10)
+        assert ExperimentConfig(input="x", k_list=(k for k in (10, 5, 5, 1))).k_list == (1, 5, 10)
 
 
 class TestRunExperiment:
@@ -209,14 +218,19 @@ class TestSweep:
             for mode in ("ucf", "fcum"):
                 assert result.reports[mode].per_k == direct.reports[mode].per_k
 
-    def test_value_json_cannot_write_is_refused_before_any_run(self, corpus_path, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("param, values, message", [
+        ("beta", [Fraction(1, 4), Fraction(1, 2)], "JSON-writable"),
+        ("iterations", [1, 2.0], "integer"),
+    ])
+    def test_value_json_cannot_write_is_refused_before_any_run(self, param, values, message, corpus_path, tmp_path,
+                                                               monkeypatch):
         def fail(cfg):
             raise AssertionError("the sweep started a run")
 
         monkeypatch.setattr(experiment, "prepare_corpus", fail)
         cfg = config(corpus_path, output=str(tmp_path / "out"))
-        with pytest.raises(ValueError, match="JSON-writable"):
-            sweep(cfg, "beta", [Fraction(1, 4), Fraction(1, 2)])
+        with pytest.raises(ValueError, match=message):
+            sweep(cfg, param, values)
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_parameter_rejected(self, corpus_path):
@@ -492,6 +506,39 @@ class TestGraphsReleased:
         assert [len(seen) for seen in released["temporal_split"]] == list(range(1, splits + 1))
         assert len(released["coarse_cluster"]) == runs
         assert all(all(seen) for seen in released["temporal_split"] + released["coarse_cluster"])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_no_clustering_is_alive_while_metrics_or_this_process_ucf_share_run(
+            self, entry, cpus, corpus_path, usable_cpus, monkeypatch):
+        usable_cpus(cpus)
+        clusterings, released = [], []
+        real_cluster = experiment.coarse_cluster
+
+        def clustered(*args):
+            clustering = real_cluster(*args)
+            clusterings.append(weakref.ref(clustering))
+            return clustering
+
+        def checking(name):
+            real = getattr(experiment, name)
+
+            def checked(*args):  # a forked child's records stay in the child, so only this process's count
+                released.append((name, all(ref() is None for ref in clusterings)))
+                return real(*args)
+
+            monkeypatch.setattr(experiment, name, checked)
+
+        monkeypatch.setattr(experiment, "coarse_cluster", clustered)
+        checking("metrics_at_k")
+        checking("rank_ucf")
+        cfg = config(corpus_path)
+        ENTRIES[entry](cfg)
+        runs = 1 if entry == "run" else 2
+        assert len(clusterings) == runs
+        assert [name for name, _ in released].count("metrics_at_k") == 2 * len(cfg.k_list) * runs
+        assert [name for name, _ in released].count("rank_ucf") == runs
+        assert all(dead for _, dead in released)
 
 
 def _interrupt(mode, *args):

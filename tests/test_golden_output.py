@@ -148,11 +148,11 @@ def _digests(directory: Path) -> dict[str, str]:
 
 
 def _run_cli(workdir: Path, hash_seed: str, args, python: str = sys.executable) -> None:
-    """Run ``tagrec`` with ``args`` in ``workdir`` under the interpreter ``python``."""
+    """Run ``tagrec`` with ``args`` in ``workdir`` under the interpreter ``python``, any warning an error."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [python, "-m", "tagrec.cli", *args],
+        [python, "-W", "error", "-m", "tagrec.cli", *args],
         cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

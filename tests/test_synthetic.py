@@ -73,6 +73,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="seed"):
             small_spec(seed=-7)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_users", 40.0),  # raised TypeError only when the corpus was written
+        ("n_communities", True),  # was refused with a message about in_community_prob
+        ("n_items", 300.0), ("n_tags", "40"), ("triples_per_user", 20.5), ("seed", 5.0), ("seed", True),
+    ])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            small_spec(**{field: value})
+
 
 class TestGeneration:
     def test_deterministic_interactions(self):

@@ -4,7 +4,8 @@ Subcommands: ``run`` (one experiment), ``sweep`` (one parameter, several
 values), ``gen`` (synthetic corpus), ``split`` (persist a train/test split),
 ``cluster`` (persist a clustering dump). Exit codes: 0 success, 1 usage
 error, 2 data or I/O error. ``main`` checks ``--output`` once, before the
-config or the spec checks its values and before any work starts.
+config or the spec checks its values and before any work starts; a file
+output, like a directory one, may name directories that do not exist yet.
 """
 
 import argparse
@@ -103,21 +104,16 @@ def _print_summary(result):
 def _check_output(path, directory: bool) -> None:
     """Raise OSError unless ``path`` can receive a command's output.
 
-    A ``directory`` output may not exist yet and is created later; its
-    nearest existing ancestor must then be a writable directory. A file
-    output must not be a directory and needs an existing, writable parent.
+    The output, a ``directory`` or a file, must not exist as the other kind.
+    It may not exist yet, nor its directory: the writer creates them later.
+    The nearest existing directory at or above it must then be writable.
     """
     path = Path(path)
-    if directory:
-        if path.exists() and not path.is_dir():
-            raise NotADirectoryError(f"--output {path}: exists and is not a directory")
-        parent = next(p for p in (path, *path.parents) if p.exists())
-    else:
-        if path.is_dir():
-            raise IsADirectoryError(f"--output {path}: is a directory")
-        parent = path.parent
-        if not parent.exists():
-            raise FileNotFoundError(f"--output {path}: directory {parent} does not exist")
+    if directory and path.exists() and not path.is_dir():
+        raise NotADirectoryError(f"--output {path}: exists and is not a directory")
+    if not directory and path.is_dir():
+        raise IsADirectoryError(f"--output {path}: is a directory")
+    parent = next(p for p in ((path, *path.parents) if directory else path.parents) if p.exists())
     if not parent.is_dir():
         raise NotADirectoryError(f"--output {path}: {parent} is not a directory")
     if not os.access(parent, os.W_OK | os.X_OK):

@@ -17,6 +17,7 @@ are read or written: the split's held-out triples stay quads until
 """
 
 import contextlib
+import dataclasses
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -154,10 +155,24 @@ def read_graph(path) -> TripartiteGraph:
     return _read(path, lambda fh: build_graph(_records(fh)))
 
 
-def _check_integer(name, value) -> None:
-    """Raise ``ValueError("<name> must be an integer")`` unless ``value`` is an ``int``; a ``bool`` is not one."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer")
+# What a field takes by its annotation (a tuple field, in each entry) and how a refusal ends; a ``str`` field is
+# echoed through ``str()``, so it takes anything.
+_KINDS = {int: (int, "an integer"), tuple[int, ...]: (int, "an integer"), float: ((int, float), "a number"),
+          bool: (bool, "true or false"), str: (object, None), str | None: (object, None)}
+
+
+def _check_kinds(obj) -> None:
+    """Raise ``ValueError`` naming the field unless each field of the dataclass ``obj`` holds its ``_KINDS`` kind.
+
+    A ``bool`` is never a number, and every value that passes is one JSON can write (``numpy.int64``,
+    ``Fraction`` and ``Decimal`` are refused); a field of another annotation raises ``KeyError``.
+    """
+    for f in dataclasses.fields(obj):
+        types, noun = _KINDS[f.type]
+        each = f.type == tuple[int, ...]
+        for v in getattr(obj, f.name) if each else (getattr(obj, f.name),):
+            if noun and (not isinstance(v, types) or isinstance(v, bool) and types is not bool):
+                raise ValueError(f"{f.name}{f' entry {v!r}' if each else ''} must be {noun}")
 
 
 @contextlib.contextmanager

@@ -19,7 +19,6 @@ the pause.
 import contextlib
 import dataclasses
 import gc
-import json
 import os
 import signal
 import threading
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clustering import choose_k, coarse_cluster
-from .corpus import DataError, _check_integer, filter_by_degree, read_graph, temporal_split
+from .corpus import DataError, _check_kinds, filter_by_degree, read_graph, temporal_split
 from .evaluate import EvalReport, metrics_at_k, report_dict, write_json, write_report
 from .profiles import build_profiles
 from .recommend import rank_fcum, rank_ucf, write_ranklists
@@ -65,17 +64,13 @@ class ExperimentConfig:
     dump_ranklists: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "k_list", tuple(self.k_list))  # any iterable: the checks below read it twice
+        try:  # any iterable: the checks below read it twice
+            object.__setattr__(self, "k_list", tuple(self.k_list))
+        except TypeError:
+            raise ValueError("k_list must be an iterable of integers") from None
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        try:  # a run's config echo is written to JSON, so a value JSON cannot write would fail after the work
-            json.dumps(self.echo())
-        except TypeError as exc:
-            raise ValueError(f"config values must be JSON-writable: {exc}") from None
-        for name in ("degree_threshold", "avg_cluster_size", "iterations", "seed"):
-            _check_integer(name, getattr(self, name))
-        for k in self.k_list:
-            _check_integer(f"k_list entry {k!r}", k)
+        _check_kinds(self)  # a value it passes is one the config echo, written as JSON after the work, can hold
         if self.degree_threshold < 0:
             raise ValueError("degree_threshold must be non-negative")
         if not 0.0 < self.split_ratio < 1.0:
@@ -353,7 +348,7 @@ def _run_prepared(cfg: ExperimentConfig, train, test_sets, profiles) -> Experime
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the configured pipeline and (optionally) write the reports.
+    """Run the configured pipeline and (optionally) write the reports; ranklists need an ``output``.
 
     Returns one report per requested mode; with ``mode="both"`` the result
     also carries fcum/ucf timing and metric ratios, and both algorithms see
@@ -365,6 +360,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     covers FCUM's time and half the sum, as both processes' timed spans lie
     in it.
     """
+    if cfg.dump_ranklists and cfg.output is None:
+        raise ValueError("dump_ranklists needs an output directory")
     with _collector_paused():
         return _run_prepared(cfg, *_prepared(cfg))
 
@@ -392,11 +389,11 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
     Everything else, including the seed, stays fixed. Every value is checked
     before the first run. The corpus is prepared once and shared, unless the
     swept parameter is ``degree_threshold``, the only one that changes it;
-    then each value prepares its own. Individual runs do not write files;
-    when ``cfg.output`` is set a combined sweep report keyed by value is
-    written instead, once every value has run, and its path is in the last
-    result's ``written``. Its ``values`` are written as given, as in each
-    run's config echo.
+    then each value prepares its own. Individual runs do not write files,
+    so a ``cfg`` that asks for ranklists is refused; when ``cfg.output`` is
+    set a combined sweep report keyed by value is written instead, once
+    every value has run, and its path is in the last result's ``written``.
+    Its ``values`` are written as given, as in each run's config echo.
     """
     if param not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
@@ -405,6 +402,8 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> list[ExperimentResult]:
         raise ValueError("sweep needs at least one value")
     if len(set(values)) < len(values):
         raise ValueError(f"sweep values must be distinct, got {values}")
+    if cfg.dump_ranklists:
+        raise ValueError("sweep writes no ranklists")
     run_cfgs = [dataclasses.replace(cfg, **{param: value, "output": None}) for value in values]
 
     with _collector_paused():

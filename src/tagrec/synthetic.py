@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
 
-from .corpus import Interaction, _check_integer, write_triples
+from .corpus import Interaction, _check_kinds, write_triples
 
 __all__ = ["SyntheticSpec", "generate_interactions", "generate_synthetic"]
 
@@ -36,10 +36,8 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self):
-        counts = ("n_users", "n_items", "n_tags", "n_communities", "triples_per_user")
-        for name in (*counts, "seed"):
-            _check_integer(name, getattr(self, name))
-        for name in counts:
+        _check_kinds(self)
+        for name in ("n_users", "n_items", "n_tags", "n_communities", "triples_per_user"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.n_communities > min(self.n_users, self.n_items, self.n_tags):

@@ -1,14 +1,17 @@
+import dataclasses
 import os
 import signal
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from tagrec import experiment
+from tagrec import corpus, experiment
 from tagrec.corpus import Interaction, build_graph, filter_by_degree, temporal_split
 from tagrec.profiles import build_profiles
 from tagrec.synthetic import SyntheticSpec, generate_interactions
@@ -21,6 +24,36 @@ def make_graph(rows):
         ts = row[3] if len(row) > 3 else i
         records.append(Interaction(row[0], row[1], row[2], ts))
     return build_graph(records)
+
+
+# A maker of a value of each kind that a checked config field may refuse; the numpy kinds skip without numpy.
+WRONG_KINDS = {
+    "str": lambda: "1",
+    "bool": lambda: True,
+    "int": lambda: 1,
+    "Fraction": lambda: Fraction(1, 2),
+    "Decimal": lambda: Decimal("1"),
+    "numpy.int64": lambda: pytest.importorskip("numpy").int64(1),
+    "numpy.bool_": lambda: pytest.importorskip("numpy").bool_(True),
+    "object": object,
+}
+
+
+def wrong_kinds(cls):
+    """``(field, make)`` params, one per checked field of the dataclass ``cls`` and ``WRONG_KINDS`` kind it refuses.
+
+    A ``bool`` field refuses all but ``bool``, a number field all but ``int``;
+    ``make()`` gives a ``tuple[int, ...]`` field a one-entry tuple.
+    """
+    params = []
+    for f in dataclasses.fields(cls):
+        if corpus._KINDS[f.type][1] is None:  # a ``str`` field takes anything
+            continue
+        for kind, make in WRONG_KINDS.items():
+            if kind != ("bool" if f.type is bool else "int"):
+                entry = (lambda make=make: (make(),)) if f.type == tuple[int, ...] else make
+                params.append(pytest.param(f.name, entry, id=f"{f.name}-{kind}"))
+    return params
 
 
 @pytest.fixture

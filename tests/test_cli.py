@@ -6,6 +6,8 @@ import os
 import re
 import shlex
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -114,6 +116,27 @@ class TestExitCodes:
         }[command]
         assert main([*argv, "--seed", "-3"]) == 1
         assert capsys.readouterr().err.splitlines() == ["tagrec: error: seed must be non-negative"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, field, kind", [
+        ("run", "beta", "a number"), ("sweep", "seed", "an integer"), ("split", "split_ratio", "a number"),
+        ("cluster", "iterations", "an integer"), ("gen", "in_community_prob", "a number"),
+        ("gen", "seed", "an integer"),
+    ])
+    def test_value_of_a_wrong_kind_is_usage_error_before_any_work(self, command, field, kind, corpus_path, tmp_path,
+                                                                   capsys, monkeypatch, no_work):
+        # the flags parse to their fields' types; parsed as Decimal or Fraction, the config or the spec refuses them
+        monkeypatch.setitem(cli._PARSE_BY_TYPE, int, Decimal)
+        monkeypatch.setitem(cli._PARSE_BY_TYPE, float, Fraction)
+        argv = {
+            "run": ["run", "--input", str(corpus_path)],
+            "sweep": ["sweep", "--input", str(corpus_path), "--param", "iterations", "--values", "1,2"],
+            "split": ["split", "--input", str(corpus_path), "--output", str(tmp_path / "s")],
+            "cluster": ["cluster", "--input", str(corpus_path), "--output", str(tmp_path / "c.tsv")],
+            "gen": ["gen", "--output", str(tmp_path / "g.tsv")],
+        }[command]
+        assert main([*argv, _flag(field), "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"tagrec: error: {field} must be {kind}"]
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_input_flag_is_usage_error(self, tmp_path, capsys):
@@ -228,6 +251,16 @@ class TestRunCommand:
         assert combined["timing"]["total_seconds_ratio"] > 0
         assert "recall" in combined["ratios"]
 
+    def test_ranklists_without_an_output_are_refused_before_any_work(self, corpus_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise AssertionError("the run started work")
+
+        monkeypatch.setattr(experiment, "prepare_corpus", fail)  # was: ran, then wrote and said nothing
+        assert main(["run", "--input", str(corpus_path), "--dump-ranklists"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["tagrec: error: dump_ranklists needs an output directory"]
+
     def test_every_field_flag_reaches_the_config(self, corpus_path, tmp_path, configs):
         values = {
             "input": str(corpus_path), "mode": "fcum", "degree_threshold": 2, "split_ratio": 0.75,
@@ -301,6 +334,19 @@ class TestSweepCommand:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("with_output", [False, True])
+    def test_ranklists_are_refused_before_any_run(self, with_output, corpus_path, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise AssertionError("the sweep started a run")
+
+        monkeypatch.setattr(experiment, "prepare_corpus", fail)  # was: ran, and wrote sweep.json alone
+        argv = ["sweep", "--input", str(corpus_path), "--param", "iterations", "--values", "1,2", "--dump-ranklists"]
+        assert main([*argv, *(["--output", str(tmp_path / "out")] if with_output else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["tagrec: error: sweep writes no ranklists"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_values_are_a_usage_error_naming_the_flag(self, corpus_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -547,11 +593,20 @@ class TestOutputPath:
         assert capsys.readouterr().err == f"tagrec: error: --output {out}: {tmp_path} is not writable\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_cluster_dump_needs_existing_directory(self, corpus_path, tmp_path, capsys, no_work):
-        dump = tmp_path / "missing" / "clusters.tsv"
-        assert main(["cluster", "--input", str(corpus_path), "--output", str(dump)]) == 2
-        assert "does not exist" in capsys.readouterr().err
-        assert not (tmp_path / "missing").exists()
+    def test_cluster_dump_needs_existing_directory(self, corpus_path, tmp_path, capsys):
+        # it did, with exit 2; now the dump's missing directories are created, as every output's are
+        dump = tmp_path / "missing" / "nested" / "clusters.tsv"
+        assert main(["cluster", "--input", str(corpus_path), "--output", str(dump), "--degree-threshold", "2"]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {dump} (")
+        assert len(dump.read_text(encoding="utf-8").splitlines()) == 50
+        assert [p.name for p in dump.parent.iterdir()] == ["clusters.tsv"]
+
+    def test_gen_into_a_missing_directory_creates_it(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "gen.tsv"
+        argv = ["--users", "20", "--items", "80", "--tags", "30", "--communities", "2", "--triples-per-user", "10"]
+        assert main(["gen", "--output", str(out), *argv]) == 0
+        assert capsys.readouterr().out == f"wrote {out} (200 records)\n"
+        assert out.read_bytes() == generate_synthetic(SyntheticSpec(20, 80, 30, 2, 10), tmp_path / "g.tsv").read_bytes()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

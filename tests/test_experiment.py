@@ -7,17 +7,21 @@ import random
 import threading
 import time
 import weakref
+from enum import IntEnum
 from fractions import Fraction
 from itertools import count, cycle, repeat
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from tagrec import experiment
+from tagrec import corpus, experiment
 from tagrec.corpus import DataError, TripartiteGraph
 from tagrec.evaluate import EvalReport, MetricsAtK
 from tagrec.experiment import ExperimentConfig, run_experiment, sweep
 from tagrec.synthetic import SyntheticSpec, generate_synthetic
+
+from conftest import wrong_kinds
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +38,11 @@ def corpus_path(tmp_path_factory):
     )
     generate_synthetic(spec, path)
     return path
+
+
+class Level(IntEnum):
+    ONE = 1
+    TWO = 2
 
 
 def config(corpus_path, **overrides):
@@ -76,10 +85,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):  # random.Random(-3) would deal seed 3's clusters
             ExperimentConfig(input="x", seed=-3)
         ExperimentConfig(input="x", seed=0)
-        # a run writes its config echo to JSON, so a value that JSON cannot write is refused up front
-        for field, value in (("beta", Fraction(1, 2)), ("iterations", Fraction(2)), ("degree_threshold", Fraction(3))):
-            with pytest.raises(ValueError, match="JSON-writable: Object of type Fraction"):
+        # a run writes its config echo to JSON, so a value that JSON cannot write is refused up front, by its kind
+        for field, value, kind in (("beta", Fraction(1, 2), "a number"), ("iterations", Fraction(2), "an integer"),
+                                   ("degree_threshold", Fraction(3), "an integer")):
+            with pytest.raises(ValueError, match=f"^{field} must be {kind}$"):
                 ExperimentConfig(input="x", **{field: value})
+        with pytest.raises(ValueError, match="^k_list must be an iterable of integers$"):  # was a TypeError
+            ExperimentConfig(input="x", k_list=5)
         # a float count raised TypeError only once clustering began, a bool ran, and a float k was truncated
         for field, value in (("iterations", 2.0), ("iterations", True), ("avg_cluster_size", 90.0),
                              ("degree_threshold", False), ("seed", 42.0)):
@@ -88,6 +100,33 @@ class TestConfigValidation:
         for k_list in ((2.5, 5), (1, True), (5, 5.0)):
             with pytest.raises(ValueError, match="k_list entry .* must be an integer"):
                 ExperimentConfig(input="x", k_list=k_list)
+
+    def test_every_field_has_a_kind_the_rule_knows(self):
+        assert all(f.type in corpus._KINDS for f in dataclasses.fields(ExperimentConfig))
+
+    @pytest.mark.parametrize("field, make", wrong_kinds(ExperimentConfig))
+    def test_each_wrong_kind_is_refused_naming_the_field(self, field, make):
+        # a str float raised TypeError from the range check, a bool float or a str bool was accepted
+        with pytest.raises(ValueError, match=f"^{field}( entry .*)? must be "):
+            ExperimentConfig(input="x", **{field: make()})
+
+    @pytest.mark.parametrize("with_numpy", [False, True])
+    def test_accepted_values_have_a_json_writable_echo(self, with_numpy):
+        ints, ratios = [0, 1, 2, Level.ONE, Level.TWO], [0.25, 0.5, 0.75]
+        if with_numpy:
+            ratios.append(pytest.importorskip("numpy").float64(0.6))
+        unit = [*ratios, 0, 1, 0.0, 1.0, Level.ONE]  # integer floats and ints are numbers too
+        rng = random.Random(27)
+        for _ in range(60):
+            cfg = ExperimentConfig(
+                input=rng.choice(["x", Path("x")]), mode=rng.choice(experiment.MODES),
+                degree_threshold=rng.choice(ints), split_ratio=rng.choice(ratios), beta=rng.choice(unit),
+                gamma=rng.choice(unit), avg_cluster_size=rng.choice(ints[1:]), iterations=rng.choice(ints[1:]),
+                k_list=rng.sample(ints[1:], 2), seed=rng.choice(ints), output=rng.choice([None, "out", Path("o")]),
+                dump_ranklists=rng.choice([False, True]),
+            )
+            echo = cfg.echo()
+            assert json.loads(json.dumps(echo)) == echo
 
     def test_k_list_sorted_and_deduplicated(self):
         cfg = ExperimentConfig(input="x", k_list=(10, 5, 5, 1))
@@ -219,7 +258,7 @@ class TestSweep:
                 assert result.reports[mode].per_k == direct.reports[mode].per_k
 
     @pytest.mark.parametrize("param, values, message", [
-        ("beta", [Fraction(1, 4), Fraction(1, 2)], "JSON-writable"),
+        ("beta", [Fraction(1, 4), Fraction(1, 2)], "^beta must be a number$"),
         ("iterations", [1, 2.0], "integer"),
     ])
     def test_value_json_cannot_write_is_refused_before_any_run(self, param, values, message, corpus_path, tmp_path,

@@ -3,8 +3,10 @@ import hashlib
 import tracemalloc
 
 import pytest
+from conftest import wrong_kinds
 from oracles import naive_interactions
 
+from tagrec import corpus
 from tagrec.clustering import coarse_cluster
 from tagrec.corpus import build_graph, write_triples
 from tagrec.profiles import build_profiles
@@ -81,6 +83,15 @@ class TestSpecValidation:
     def test_counts_and_seed_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
             small_spec(**{field: value})
+
+    def test_every_field_has_a_kind_the_rule_knows(self):
+        assert all(f.type in corpus._KINDS for f in dataclasses.fields(SyntheticSpec))
+
+    @pytest.mark.parametrize("field, make", wrong_kinds(SyntheticSpec))
+    def test_each_wrong_kind_is_refused_naming_the_field(self, field, make):
+        # in_community_prob="0.9" raised TypeError from the range check, and True was accepted
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            small_spec(**{field: make()})
 
 
 class TestGeneration:

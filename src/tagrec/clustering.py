@@ -13,18 +13,19 @@ with it is d / sqrt(|u| * sum(c^2)), where d is the sum of c over u's
 indices. One pass over the posting lists of u's items and tags, relabelled
 with each holder's cluster, gives d for every cluster at once, and sum(c^2)
 is the sum of d over the cluster's members, so a round needs nothing but
-these dots. Each user keeps its dots as a dense row of k ints, read by
-cluster index; after a round only the users that moved update the rows of
-the users they share an index with. Users of one profile size share the
-denominators sqrt(|u| * sum(c^2)), so a round takes each square root once
-per size and cluster. Integer sums are exact on every Python version, and
-no float centroid is built per round. Clusters whose cosines tie, exactly
-or within 1e-9, are compared with ``user_centroid_similarity`` on float
-centroids, which defines the assignment, so the result is the one float
-centroids give, bit for bit. Float ``Centroid`` objects, records of their
-two parts alone, are otherwise built only for the final partition, for
-output: their item and tag keys are each cluster's item pool and distinct
-tags, which give its scoring work.
+these dots. A member's d with its own cluster counts each of its indices, so
+an empty cluster, and only one, has item and tag sums of 0. Each user keeps
+its dots as a dense row of k ints; after a round only the users that moved
+update the rows of the users they share an index with. Users of one profile
+size share the denominators sqrt(|u| * sum(c^2)), so a round takes each
+square root once per size and cluster. Integer sums are exact on every
+Python version. Only clusters whose cosines tie, exactly or within 1e-9,
+gather their members from the assignment, to be compared with
+``user_centroid_similarity`` on float centroids, which defines the
+assignment, so the result is the one float centroids give, bit for bit.
+Float ``Centroid`` objects are otherwise built only for the final partition,
+for output: their item and tag keys are each cluster's item pool and
+distinct tags, which give its scoring work.
 """
 
 import math
@@ -159,13 +160,6 @@ class Clustering:
         return sum(1 for members in self.user_clusters if members)
 
 
-def _group(assignment, k):
-    clusters = [[] for _ in range(k)]
-    for u, j in enumerate(assignment):
-        clusters[j].append(u)  # u ascending, so member lists come out sorted
-    return clusters
-
-
 def _cluster_dots(assignment, post, profile_indices, k: int) -> list[list[int]]:
     """Per user, a row of its dot products with the k clusters' count vectors.
 
@@ -192,13 +186,13 @@ def _move_dots(dots: list[list[int]], post, indices, old: int, new: int) -> None
         row[new] += shared
 
 
-def _norms(profile_indices, sq) -> dict[int, list[float]]:
-    """Per distinct profile size d, the cosine denominators sqrt(d * s) for each s in ``sq``.
+def _norms(sizes, sq) -> dict[int, list[float]]:
+    """Per profile size d in ``sizes``, the cosine denominators sqrt(d * s) for each s in ``sq``.
 
     A zero denominator is given as infinity: a dot over it is 0, and 0 / inf
     is the 0.0 cosine of an empty side.
     """
-    return {d: [math.sqrt(d * s) or math.inf for s in sq] for d in set(map(len, profile_indices))}
+    return {d: [math.sqrt(d * s) or math.inf for s in sq] for d in sizes}
 
 
 # Exact cosines that are equal, or nearly so, can come out in either order
@@ -220,6 +214,8 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
 
     The user-cluster dot products are counted once from the initial
     assignment; after each round only the users that moved update them.
+    Every profile must hold an item or a tag, as ``build_profiles``
+    guarantees, so that a cluster is empty exactly when its sums are 0.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -233,22 +229,21 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
     item_post, tag_post = posting_lists(range(n), profiles)
     item_dots = _cluster_dots(assignment, item_post, items_of, k)
     tag_dots = _cluster_dots(assignment, tag_post, tags_of, k)
+    item_sizes, tag_sizes = set(map(len, items_of)), set(map(len, tags_of))
     profile_sizes = sum(map(len, items_of)) + sum(map(len, tags_of))
     ops = 0
 
     for round_ in range(iterations):
-        # a cluster's sum of squared counts is the sum of its members' dots with it
+        # a cluster's sum of squared counts is the sum of its members' dots with it; both are 0 just when it is empty
         item_sq, tag_sq = [0] * k, [0] * k
         for u, j in enumerate(assignment):
             item_sq[j] += item_dots[u][j]
             tag_sq[j] += tag_dots[u][j]
-        clusters = _group(assignment, k)
-        empty = [j for j, members in enumerate(clusters) if not members]
+        empty = [j for j in range(k) if item_sq[j] + tag_sq[j] == 0]
         # counting touches every profile once; each user is then compared
         # coordinate by coordinate with every non-empty cluster
         ops += profile_sizes * (1 + k - len(empty))
-        item_norms = _norms(items_of, item_sq)
-        tag_norms = _norms(tags_of, tag_sq)
+        item_norms, tag_norms = _norms(item_sizes, item_sq), _norms(tag_sizes, tag_sq)
         float_centroids = {}  # built only to settle near ties
         new_assignment = []
         for u in range(n):
@@ -262,7 +257,7 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
             if len(near) > 1:
                 for j in near:
                     if j not in float_centroids:
-                        float_centroids[j] = compute_centroid(clusters[j], profiles)
+                        float_centroids[j] = compute_centroid([v for v, c in enumerate(assignment) if c == j], profiles)
                 ref = [user_centroid_similarity(profiles[u], float_centroids[j], gamma) for j in near]
                 near = [near[ref.index(max(ref))]]
             new_assignment.append(near[0])
@@ -273,7 +268,9 @@ def coarse_cluster(train, profiles, k: int, iterations: int, gamma: float, seed:
                     _move_dots(tag_dots, tag_post, tags_of[v], old, new)
         assignment = new_assignment
 
-    clusters = _group(assignment, k)
+    clusters = [[] for _ in range(k)]
+    for u, j in enumerate(assignment):
+        clusters[j].append(u)  # u ascending, so member lists come out sorted
     final_centroids = tuple(compute_centroid(members, profiles) for members in clusters)
     # a centroid's item keys are ascending, so they are the sorted item pool
     item_clusters = tuple(tuple(c.item_part) if c is not None else () for c in final_centroids)

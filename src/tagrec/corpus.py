@@ -155,10 +155,11 @@ def read_graph(path) -> TripartiteGraph:
     return _read(path, lambda fh: build_graph(_records(fh)))
 
 
-# What a field takes by its annotation (a tuple field, in each entry) and how a refusal ends; a ``str`` field is
-# echoed through ``str()``, so it takes anything.
+# What a field takes by its annotation (a tuple field, in each entry) and how a refusal ends; a ``str`` field is a
+# path, echoed through ``str()`` (``mode``, the one that is not, is checked against its choices first).
 _KINDS = {int: (int, "an integer"), tuple[int, ...]: (int, "an integer"), float: ((int, float), "a number"),
-          bool: (bool, "true or false"), str: (object, None), str | None: (object, None)}
+          bool: (bool, "true or false"), str: ((str, os.PathLike), "a path"),
+          str | None: ((str, os.PathLike, type(None)), "a path or None")}
 
 
 def _check_kinds(obj) -> None:
@@ -171,7 +172,7 @@ def _check_kinds(obj) -> None:
         types, noun = _KINDS[f.type]
         each = f.type == tuple[int, ...]
         for v in getattr(obj, f.name) if each else (getattr(obj, f.name),):
-            if noun and (not isinstance(v, types) or isinstance(v, bool) and types is not bool):
+            if not isinstance(v, types) or isinstance(v, bool) and types is not bool:
                 raise ValueError(f"{f.name}{f' entry {v!r}' if each else ''} must be {noun}")
 
 

@@ -93,10 +93,11 @@ def score(target: int, item: int, neighbors, profiles, beta: float) -> float:
 def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
     """Rank each group's item pool for each of its targets, against all its members.
 
-    ``groups`` yields (members, pool, targets) triples; a pool is in
-    ascending item order and holds every item of its members, the targets
-    are members, and the members of different groups are disjoint. A
-    group's targets are read only once its posting lists are built.
+    ``groups`` yields (members, pool, targets) triples; a pool is a range
+    or tuple in ascending item order and holds every item of its members,
+    the targets are members, and the members of different groups are
+    disjoint. A group's targets are read only once its posting lists are
+    built.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be in [0, 1]")
@@ -106,6 +107,7 @@ def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
         # sorted, so that each item's holders come in the order score() adds them
         item_post, tag_post = posting_lists(sorted(members), profiles)
         by_holders = _entries(pool, item_post)
+        slots = min(k, len(pool))  # no ranklist is longer than its pool
         for u in targets:
             prof = profiles[u]
             shared_items = Counter(chain.from_iterable(map(item_post.__getitem__, prof.items_sorted)))
@@ -123,7 +125,7 @@ def _rank_groups(groups, profiles, beta: float, k: int) -> dict[int, RankList]:
                 if sim != 0.0:
                     sim_of[v] = sim
                     near.append(v)
-            out[u] = RankList(u, _walk(by_holders, prof.item_set, sim_of, near, k))
+            out[u] = RankList(u, _walk(by_holders, prof.item_set, sim_of, near, slots))
             for v in near:
                 sim_of[v] = 0.0
     return out

@@ -42,15 +42,14 @@ WRONG_KINDS = {
 def wrong_kinds(cls):
     """``(field, make)`` params, one per checked field of the dataclass ``cls`` and ``WRONG_KINDS`` kind it refuses.
 
-    A ``bool`` field refuses all but ``bool``, a number field all but ``int``;
-    ``make()`` gives a ``tuple[int, ...]`` field a one-entry tuple.
+    A ``bool`` field refuses all but ``bool``, a path (``str``) field all but ``str``, a number field all but
+    ``int``; ``make()`` gives a ``tuple[int, ...]`` field a one-entry tuple.
     """
     params = []
     for f in dataclasses.fields(cls):
-        if corpus._KINDS[f.type][1] is None:  # a ``str`` field takes anything
-            continue
+        assert f.type in corpus._KINDS, f.type  # a field the check does not know raises KeyError
         for kind, make in WRONG_KINDS.items():
-            if kind != ("bool" if f.type is bool else "int"):
+            if kind != {bool: "bool", str: "str", str | None: "str"}.get(f.type, "int"):
                 entry = (lambda make=make: (make(),)) if f.type == tuple[int, ...] else make
                 params.append(pytest.param(f.name, entry, id=f"{f.name}-{kind}"))
     return params

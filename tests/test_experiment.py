@@ -97,6 +97,11 @@ class TestConfigValidation:
                              ("degree_threshold", False), ("seed", 42.0)):
             with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
                 ExperimentConfig(input="x", **{field: value})
+        # a bad path ran the whole pipeline before Path(output) raised TypeError, or read_graph raised it
+        for field, value, noun in (("output", 123, "a path or None"), ("output", b"out", "a path or None"),
+                                   ("input", None, "a path")):
+            with pytest.raises(ValueError, match=f"^{field} must be {noun}$"):
+                ExperimentConfig(**{"input": "x", field: value})
         for k_list in ((2.5, 5), (1, True), (5, 5.0)):
             with pytest.raises(ValueError, match="k_list entry .* must be an integer"):
                 ExperimentConfig(input="x", k_list=k_list)
@@ -108,7 +113,7 @@ class TestConfigValidation:
     def test_each_wrong_kind_is_refused_naming_the_field(self, field, make):
         # a str float raised TypeError from the range check, a bool float or a str bool was accepted
         with pytest.raises(ValueError, match=f"^{field}( entry .*)? must be "):
-            ExperimentConfig(input="x", **{field: make()})
+            ExperimentConfig(**{"input": "x", field: make()})  # so that ``field`` may be ``input`` itself
 
     @pytest.mark.parametrize("with_numpy", [False, True])
     def test_accepted_values_have_a_json_writable_echo(self, with_numpy):
